@@ -30,7 +30,7 @@ bin/botvet: $(BOTVET_SRC)
 # botvet runs the project-specific analyzers — the SSA tier (goleak,
 # ctxflow, wireframe), the invariant tier (nodeterm, lockguard,
 # snapshotalias, floateq, sharedslice, parmerge, hotalloc, rngstream),
-# and the columnar-era tier (mmaplife, lazymat, codecsym, memodisc) —
+# and the columnar-era tier (mmaplife, lazymat, memodisc) —
 # over every package via go vet's -vettool hook. Exit code 0 means every
 # analyzer ran clean; 1 means diagnostics (or build failure); 2 means the
 # tool was misused.
@@ -65,7 +65,7 @@ botvet-sarif: bin/botvet
 # reports wall-clock, so a slow interprocedural pass shows up in CI logs
 # before it slows the merge gate for everyone.
 botvet-timed: bin/botvet
-	@for a in goleak ctxflow wireframe mmaplife lazymat codecsym memodisc; do \
+	@for a in goleak ctxflow wireframe mmaplife lazymat memodisc; do \
 		start=$$(date +%s%N); \
 		$(GO) vet -vettool=$(abspath bin/botvet) -$$a ./... || exit 1; \
 		end=$$(date +%s%N); \

@@ -2,7 +2,7 @@
 // botscope analyzers — nodeterm, lockguard, snapshotalias, floateq,
 // sharedslice, parmerge, hotalloc, rngstream, the SSA-based
 // interprocedural tier (goleak, ctxflow, wireframe), plus the
-// columnar-era tier (mmaplife, lazymat, codecsym, memodisc) — into a
+// columnar-era tier (mmaplife, lazymat, memodisc) — into a
 // unitchecker binary that `go vet` drives over every package:
 //
 //	go build -o bin/botvet ./cmd/botvet
@@ -44,7 +44,6 @@ import (
 	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/analysis/unitchecker"
 
-	"botscope/internal/analysis/codecsym"
 	"botscope/internal/analysis/ctxflow"
 	"botscope/internal/analysis/floateq"
 	"botscope/internal/analysis/goleak"
@@ -64,7 +63,6 @@ import (
 // analyzers is the full gate, in one place so the unitchecker run and the
 // SARIF rule table stay in lockstep.
 var analyzers = []*analysis.Analyzer{
-	codecsym.Analyzer,
 	ctxflow.Analyzer,
 	floateq.Analyzer,
 	goleak.Analyzer,

@@ -147,7 +147,7 @@ func (c *shardClient) hello(ctx context.Context) (helloAck, error) {
 	if err != nil {
 		return helloAck{}, err
 	}
-	return decodeHelloAck(resp.Payload)
+	return fromWire(walkHelloAck, resp.Payload)
 }
 
 // sendIngest ships one ordered batch and waits for the applied ack,
@@ -169,7 +169,7 @@ func (c *shardClient) sendIngest(ctx context.Context, payload []byte) (ingestAck
 	for {
 		resp, err := c.call(ctx, msgIngest, payload)
 		if err == nil {
-			return decodeIngestAck(resp.Payload)
+			return fromWire(walkIngestAck, resp.Payload)
 		}
 		if !errors.Is(err, ErrShardBusy) {
 			return ingestAck{}, err
@@ -196,7 +196,7 @@ func (c *shardClient) snapshot(ctx context.Context) (ShardSnapshot, error) {
 	if err != nil {
 		return ShardSnapshot{}, err
 	}
-	return decodeSnapshot(resp.Payload)
+	return fromWire(walkSnapshot, resp.Payload)
 }
 
 // leave asks the shard to drop state for a clean future rejoin.

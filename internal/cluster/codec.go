@@ -2,9 +2,9 @@ package cluster
 
 import (
 	"fmt"
-	"net/netip"
 	"time"
 
+	"botscope/internal/bincodec"
 	"botscope/internal/dataset"
 )
 
@@ -29,121 +29,76 @@ const (
 	entryRecord byte = 1
 )
 
-// encodeIngest appends the msgIngest payload for entries to w.
-//
-//botvet:codec encode ingest
-func encodeIngest(w *wireWriter, entries []IngestEntry) {
-	w.uvarint(uint64(len(entries)))
-	for i := range entries {
-		e := &entries[i]
-		if e.Record == nil {
-			w.buf = append(w.buf, entryTick)
-			w.uvarint(e.Seq)
-			w.uvarint(uint64(e.ID))
-			w.varint(e.Start.UnixNano())
-			w.varint(e.End.UnixNano())
-			continue
-		}
-		w.buf = append(w.buf, entryRecord)
-		w.uvarint(e.Seq)
-		encodeAttack(w, e.Record)
-	}
+// toWire encodes v with its walker into a fresh payload.
+func toWire[T any](walk func(*bincodec.Coder, *T), v *T) []byte {
+	c := bincodec.NewEncoder(nil)
+	walk(c, v)
+	return c.Bytes()
 }
 
-// decodeIngest parses an msgIngest payload.
-//
-//botvet:codec decode ingest
-func decodeIngest(payload []byte) ([]IngestEntry, error) {
-	r := &wireReader{buf: payload}
+// fromWire decodes a payload with the walker of its message type.
+func fromWire[T any](walk func(*bincodec.Coder, *T), payload []byte) (T, error) {
+	var v T
+	c := bincodec.NewDecoder(payload, ErrTruncated)
+	walk(c, &v)
+	return v, c.Err()
+}
+
+// walkIngest walks an msgIngest payload: the entry count, then per entry
+// its kind byte, its sequence number and either the tick's (id, start,
+// end) or the full record.
+func walkIngest(c *bincodec.Coder, entries *[]IngestEntry) {
 	// A tick costs at least 5 bytes (kind + 4 varints).
-	n := r.count(5)
-	entries := make([]IngestEntry, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		if len(r.buf) < 1 {
-			r.fail()
-			break
+	n := bincodec.Slice(c, entries, 5)
+	for i := 0; i < n && c.Err() == nil; i++ {
+		e := &(*entries)[i]
+		kind := entryTick
+		if e.Record != nil {
+			kind = entryRecord
 		}
-		kind := r.buf[0]
-		r.buf = r.buf[1:]
+		c.Byte(&kind)
+		c.Uvarint(&e.Seq)
 		switch kind {
 		case entryTick:
-			seq := r.uvarint()
-			id := dataset.DDoSID(r.uvarint())
-			start := time.Unix(0, r.varint()).UTC()
-			end := time.Unix(0, r.varint()).UTC()
-			entries = append(entries, IngestEntry{Seq: seq, ID: id, Start: start, End: end})
+			bincodec.Uint(c, &e.ID)
+			c.Time(&e.Start)
+			c.Time(&e.End)
 		case entryRecord:
-			seq := r.uvarint()
-			a := decodeAttack(r)
-			if r.err != nil {
-				break
+			if c.Decoding() {
+				e.Record = new(dataset.Attack)
 			}
-			entries = append(entries, IngestEntry{
-				Seq: seq, Record: a, ID: a.ID, Start: a.Start, End: a.End,
-			})
+			walkAttack(c, e.Record)
+			if c.Decoding() {
+				e.ID, e.Start, e.End = e.Record.ID, e.Record.Start, e.Record.End
+			}
 		default:
-			return nil, fmt.Errorf("cluster: unknown ingest entry kind %d", kind)
+			c.Fail(fmt.Errorf("cluster: unknown ingest entry kind %d", kind))
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	return entries, nil
 }
 
-// encodeAttack appends one full dataset.Attack. Times cross as UTC
-// unix-nanoseconds; every string and address round-trips verbatim so the
-// shard's analyzer sees exactly the record the frontend validated.
-//
-//botvet:codec encode attack
-func encodeAttack(w *wireWriter, a *dataset.Attack) {
-	w.uvarint(uint64(a.ID))
-	w.uvarint(uint64(a.BotnetID))
-	w.str(string(a.Family))
-	w.varint(int64(a.Category))
-	w.addr(a.TargetIP)
-	w.varint(a.Start.UnixNano())
-	w.varint(a.End.UnixNano())
-	w.uvarint(uint64(len(a.BotIPs)))
-	for _, ip := range a.BotIPs {
-		w.addr(ip)
+// walkAttack walks one full dataset.Attack. Every string and address
+// round-trips verbatim so the shard's analyzer sees exactly the record
+// the frontend validated.
+func walkAttack(c *bincodec.Coder, a *dataset.Attack) {
+	bincodec.Uint(c, &a.ID)
+	bincodec.Uint(c, &a.BotnetID)
+	bincodec.String(c, &a.Family)
+	bincodec.Int(c, &a.Category)
+	c.Addr(&a.TargetIP)
+	c.Time(&a.Start)
+	c.Time(&a.End)
+	// Bot IPs on the wire are parsed addresses: at least 5 bytes each.
+	n := bincodec.Slice(c, &a.BotIPs, 5)
+	for i := 0; i < n && c.Err() == nil; i++ {
+		c.Addr(&a.BotIPs[i])
 	}
-	w.varint(int64(a.TargetASN))
-	w.str(a.TargetCountry)
-	w.str(a.TargetCity)
-	w.str(a.TargetOrg)
-	w.f64(a.TargetLat)
-	w.f64(a.TargetLon)
-}
-
-// decodeAttack parses one full record; on malformed input it sets r.err
-// and returns an undefined record.
-//
-//botvet:codec decode attack
-func decodeAttack(r *wireReader) *dataset.Attack {
-	a := &dataset.Attack{
-		ID:       dataset.DDoSID(r.uvarint()),
-		BotnetID: dataset.BotnetID(r.uvarint()),
-		Family:   dataset.Family(r.str()),
-		Category: dataset.Category(r.varint()),
-		TargetIP: r.addr(),
-		Start:    time.Unix(0, r.varint()).UTC(),
-		End:      time.Unix(0, r.varint()).UTC(),
-	}
-	n := r.count(5) // every bot IP costs at least 5 bytes
-	if n > 0 && r.err == nil {
-		a.BotIPs = make([]netip.Addr, 0, n)
-	}
-	for i := 0; i < n && r.err == nil; i++ {
-		a.BotIPs = append(a.BotIPs, r.addr())
-	}
-	a.TargetASN = int(r.varint())
-	a.TargetCountry = r.str()
-	a.TargetCity = r.str()
-	a.TargetOrg = r.str()
-	a.TargetLat = r.f64()
-	a.TargetLon = r.f64()
-	return a
+	bincodec.Int(c, &a.TargetASN)
+	c.Str(&a.TargetCountry)
+	c.Str(&a.TargetCity)
+	c.Str(&a.TargetOrg)
+	c.F64(&a.TargetLat)
+	c.F64(&a.TargetLon)
 }
 
 // helloAck is the shard's session greeting: its identity and how many
@@ -154,17 +109,9 @@ type helloAck struct {
 	Applied uint64
 }
 
-//botvet:codec encode helloAck
-func encodeHelloAck(w *wireWriter, h helloAck) {
-	w.varint(int64(h.ShardID))
-	w.uvarint(h.Applied)
-}
-
-//botvet:codec decode helloAck
-func decodeHelloAck(payload []byte) (helloAck, error) {
-	r := &wireReader{buf: payload}
-	h := helloAck{ShardID: int(r.varint()), Applied: r.uvarint()}
-	return h, r.err
+func walkHelloAck(c *bincodec.Coder, h *helloAck) {
+	bincodec.Int(c, &h.ShardID)
+	c.Uvarint(&h.Applied)
 }
 
 // ingestAck reports how many entries the shard has applied in total after
@@ -173,14 +120,6 @@ type ingestAck struct {
 	Applied uint64
 }
 
-//botvet:codec encode ingestAck
-func encodeIngestAck(w *wireWriter, a ingestAck) {
-	w.uvarint(a.Applied)
-}
-
-//botvet:codec decode ingestAck
-func decodeIngestAck(payload []byte) (ingestAck, error) {
-	r := &wireReader{buf: payload}
-	a := ingestAck{Applied: r.uvarint()}
-	return a, r.err
+func walkIngestAck(c *bincodec.Coder, a *ingestAck) {
+	c.Uvarint(&a.Applied)
 }

@@ -319,7 +319,6 @@ func (f *Frontend) flushChunk(ctx context.Context, chunk []*dataset.Attack) erro
 	}
 	payloads := make([][]byte, len(ids))
 	for si, id := range ids {
-		w := &wireWriter{}
 		entries := make([]IngestEntry, len(chunk))
 		for i, a := range chunk {
 			e := IngestEntry{Seq: base + 1 + uint64(i), ID: a.ID, Start: a.Start, End: a.End}
@@ -328,8 +327,7 @@ func (f *Frontend) flushChunk(ctx context.Context, chunk []*dataset.Attack) erro
 			}
 			entries[i] = e
 		}
-		encodeIngest(w, entries)
-		payloads[si] = w.buf
+		payloads[si] = toWire(walkIngest, &entries)
 	}
 
 	errs := par.Map(0, len(ids), func(i int) error {

@@ -17,24 +17,21 @@ func FuzzDecodeWire(f *testing.F) {
 	f.Add([]byte("XXXX\x01\x01\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00"))
 
 	{
-		w := &wireWriter{}
 		start := time.Date(2012, 8, 1, 12, 0, 0, 0, time.UTC)
-		encodeIngest(w, []IngestEntry{
+		entries := []IngestEntry{
 			{Seq: 1, ID: 5, Start: start, End: start.Add(time.Hour)},
 			{Seq: 2, Record: testAttack(6, "198.51.100.9", start.Add(time.Minute)),
 				ID: 6, Start: start.Add(time.Minute), End: start.Add(91 * time.Minute)},
-		})
-		f.Add(AppendFrame(nil, &Frame{Type: msgIngest, ReqID: 3, Payload: w.buf}))
+		}
+		f.Add(AppendFrame(nil, &Frame{Type: msgIngest, ReqID: 3, Payload: toWire(walkIngest, &entries)}))
 	}
 	{
-		w := &wireWriter{}
-		encodeIngestAck(w, ingestAck{Applied: 10000})
-		f.Add(AppendFrame(nil, &Frame{Type: msgIngestAck, ReqID: 4, Payload: w.buf}))
+		ack := ingestAck{Applied: 10000}
+		f.Add(AppendFrame(nil, &Frame{Type: msgIngestAck, ReqID: 4, Payload: toWire(walkIngestAck, &ack)}))
 	}
 	{
-		w := &wireWriter{}
-		encodeHelloAck(w, helloAck{ShardID: 2, Applied: 7})
-		f.Add(AppendFrame(nil, &Frame{Type: msgHelloAck, ReqID: 5, Payload: w.buf}))
+		ack := helloAck{ShardID: 2, Applied: 7}
+		f.Add(AppendFrame(nil, &Frame{Type: msgHelloAck, ReqID: 5, Payload: toWire(walkHelloAck, &ack)}))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -54,28 +51,24 @@ func FuzzDecodeWire(f *testing.F) {
 
 		switch fr.Type {
 		case msgIngest:
-			entries, err := decodeIngest(fr.Payload)
+			entries, err := fromWire(walkIngest, fr.Payload)
 			if err != nil {
 				return
 			}
 			// A decoded batch always re-encodes into a decodable payload.
-			w := &wireWriter{}
-			encodeIngest(w, entries)
-			if _, err := decodeIngest(w.buf); err != nil {
+			if _, err := fromWire(walkIngest, toWire(walkIngest, &entries)); err != nil {
 				t.Fatalf("re-encoded ingest does not decode: %v", err)
 			}
 		case msgSnapResp:
-			if s, err := decodeSnapshot(fr.Payload); err == nil {
-				w := &wireWriter{}
-				encodeSnapshot(w, &s)
-				if _, err := decodeSnapshot(w.buf); err != nil {
+			if s, err := fromWire(walkSnapshot, fr.Payload); err == nil {
+				if _, err := fromWire(walkSnapshot, toWire(walkSnapshot, &s)); err != nil {
 					t.Fatalf("re-encoded snapshot does not decode: %v", err)
 				}
 			}
 		case msgHelloAck:
-			_, _ = decodeHelloAck(fr.Payload)
+			_, _ = fromWire(walkHelloAck, fr.Payload)
 		case msgIngestAck:
-			_, _ = decodeIngestAck(fr.Payload)
+			_, _ = fromWire(walkIngestAck, fr.Payload)
 		}
 	})
 }

@@ -135,9 +135,8 @@ func (s *Shard) readLoop(c *shardConn) {
 		}
 		switch f.Type {
 		case msgHello:
-			w := &wireWriter{}
-			encodeHelloAck(w, helloAck{ShardID: s.id, Applied: s.applied.Load()})
-			if c.writeFrame(&Frame{Type: msgHelloAck, ReqID: f.ReqID, Payload: w.buf}) != nil {
+			ack := helloAck{ShardID: s.id, Applied: s.applied.Load()}
+			if c.writeFrame(&Frame{Type: msgHelloAck, ReqID: f.ReqID, Payload: toWire(walkHelloAck, &ack)}) != nil {
 				return
 			}
 		case msgPing:
@@ -184,7 +183,7 @@ func (s *Shard) applier() {
 }
 
 func (s *Shard) applyIngest(job shardJob) {
-	entries, err := decodeIngest(job.frame.Payload)
+	entries, err := fromWire(walkIngest, job.frame.Payload)
 	if err == nil {
 		err = s.apply(entries)
 	}
@@ -195,9 +194,8 @@ func (s *Shard) applyIngest(job shardJob) {
 		})
 		return
 	}
-	w := &wireWriter{}
-	encodeIngestAck(w, ingestAck{Applied: s.applied.Load()})
-	_ = job.conn.writeFrame(&Frame{Type: msgIngestAck, ReqID: job.frame.ReqID, Payload: w.buf})
+	ack := ingestAck{Applied: s.applied.Load()}
+	_ = job.conn.writeFrame(&Frame{Type: msgIngestAck, ReqID: job.frame.ReqID, Payload: toWire(walkIngestAck, &ack)})
 }
 
 // apply folds an ordered batch into the analyzer: full records for the
@@ -223,10 +221,8 @@ func (s *Shard) applySnap(job shardJob) {
 	key := s.resets<<32 | s.applied.Load() + 1
 	if key != s.cacheKey {
 		snap := ShardSnapshot{ShardID: s.id, Applied: s.applied.Load(), Snap: s.an.Snapshot()}
-		w := &wireWriter{}
-		encodeSnapshot(w, &snap)
 		s.cacheKey = key
-		s.cachePayload = w.buf
+		s.cachePayload = toWire(walkSnapshot, &snap)
 	}
 	_ = job.conn.writeFrame(&Frame{Type: msgSnapResp, ReqID: job.frame.ReqID, Payload: s.cachePayload})
 }

@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
+	"botscope/internal/bincodec"
 	"botscope/internal/core"
 	"botscope/internal/dataset"
 	"botscope/internal/stats"
@@ -24,257 +26,125 @@ type ShardSnapshot struct {
 	Snap    stream.Snapshot
 }
 
-// encodeSnapshot appends s's wire encoding. Every float crosses as its
+// walkSnapshot walks a msgSnapResp payload. Every float crosses as its
 // IEEE-754 bits and every time as UTC unix-nanoseconds, so the frontend
 // reconstructs values bit-exactly.
-//
-//botvet:codec encode snapshot
-func encodeSnapshot(w *wireWriter, s *ShardSnapshot) {
-	w.varint(int64(s.ShardID))
-	w.uvarint(s.Applied)
+func walkSnapshot(c *bincodec.Coder, s *ShardSnapshot) {
+	bincodec.Int(c, &s.ShardID)
+	c.Uvarint(&s.Applied)
 	sn := &s.Snap
 
-	w.varint(int64(sn.Ingested))
-	w.varint(sn.FirstStart.UnixNano())
-	w.varint(sn.LastStart.UnixNano())
-	w.varint(int64(sn.ActiveAttacks))
+	bincodec.Int(c, &sn.Ingested)
+	c.Time(&sn.FirstStart)
+	c.Time(&sn.LastStart)
+	bincodec.Int(c, &sn.ActiveAttacks)
 
-	w.uvarint(uint64(len(sn.Protocols)))
-	for _, p := range sn.Protocols {
-		w.varint(int64(p.Category))
-		w.varint(int64(p.Count))
+	n := bincodec.Slice(c, &sn.Protocols, 2)
+	for i := 0; i < n && c.Err() == nil; i++ {
+		p := &sn.Protocols[i]
+		bincodec.Int(c, &p.Category)
+		bincodec.Int(c, &p.Count)
 	}
 
-	w.uvarint(uint64(len(sn.FamilyProtocol)))
-	for _, fp := range sn.FamilyProtocol {
-		w.varint(int64(fp.Category))
-		w.str(string(fp.Family))
-		w.varint(int64(fp.Count))
+	n = bincodec.Slice(c, &sn.FamilyProtocol, 3)
+	for i := 0; i < n && c.Err() == nil; i++ {
+		fp := &sn.FamilyProtocol[i]
+		bincodec.Int(c, &fp.Category)
+		bincodec.String(c, &fp.Family)
+		bincodec.Int(c, &fp.Count)
 	}
 
-	encodeDaily(w, &sn.Daily)
-	encodeSummary(w, &sn.Intervals.Summary)
-	w.f64(sn.Intervals.SimultaneousFrac)
-	w.f64(sn.Intervals.ExactZeroFrac)
-	encodeSummary(w, &sn.Durations.Summary)
-	w.f64(sn.Durations.FracUnder4h)
-	w.f64(sn.Durations.FracUnder60s)
-	w.varint(int64(sn.Load.Peak))
-	w.varint(sn.Load.PeakTime.UnixNano())
-	w.f64(sn.Load.TimeWeightedMean)
-	encodeCollab(w, &sn.Collaborations)
+	walkDaily(c, &sn.Daily)
+	walkSummary(c, &sn.Intervals.Summary)
+	c.F64(&sn.Intervals.SimultaneousFrac)
+	c.F64(&sn.Intervals.ExactZeroFrac)
+	walkSummary(c, &sn.Durations.Summary)
+	c.F64(&sn.Durations.FracUnder4h)
+	c.F64(&sn.Durations.FracUnder60s)
+	bincodec.Int(c, &sn.Load.Peak)
+	c.Time(&sn.Load.PeakTime)
+	c.F64(&sn.Load.TimeWeightedMean)
+	walkCollab(c, &sn.Collaborations)
 }
 
-//botvet:codec encode daily
-func encodeDaily(w *wireWriter, d *core.DailyStats) {
-	w.f64(d.Average)
-	w.varint(int64(d.Max))
-	w.varint(d.MaxDay.UnixNano())
-	w.str(string(d.MaxDominantFamily))
-	w.uvarint(uint64(len(d.Days)))
-	for _, dc := range d.Days {
-		w.varint(dc.Day.UnixNano())
-		w.varint(int64(dc.Count))
-		encodeFamilyCounts(w, dc.ByFamily)
+func walkDaily(c *bincodec.Coder, d *core.DailyStats) {
+	c.F64(&d.Average)
+	bincodec.Int(c, &d.Max)
+	c.Time(&d.MaxDay)
+	bincodec.String(c, &d.MaxDominantFamily)
+	n := bincodec.Slice(c, &d.Days, 3)
+	for i := 0; i < n && c.Err() == nil; i++ {
+		dc := &d.Days[i]
+		c.Time(&dc.Day)
+		bincodec.Int(c, &dc.Count)
+		walkCounts(c, &dc.ByFamily)
 	}
 }
 
-//botvet:codec encode summary
-func encodeSummary(w *wireWriter, s *stats.Summary) {
-	w.varint(int64(s.N))
-	w.f64(s.Mean)
-	w.f64(s.Median)
-	w.f64(s.StdDev)
-	w.f64(s.Min)
-	w.f64(s.Max)
-	w.f64(s.P80)
-	w.f64(s.P95)
+func walkSummary(c *bincodec.Coder, s *stats.Summary) {
+	bincodec.Int(c, &s.N)
+	c.F64(&s.Mean)
+	c.F64(&s.Median)
+	c.F64(&s.StdDev)
+	c.F64(&s.Min)
+	c.F64(&s.Max)
+	c.F64(&s.P80)
+	c.F64(&s.P95)
 }
 
-//botvet:codec encode collab
-func encodeCollab(w *wireWriter, c *stream.CollabSummary) {
-	w.varint(int64(c.TotalIntra))
-	w.varint(int64(c.TotalInter))
-	w.f64(c.MeanBotnets)
-	encodeFamilyCounts(w, c.Intra)
-	encodeFamilyCounts(w, c.Inter)
+func walkCollab(c *bincodec.Coder, cs *stream.CollabSummary) {
+	bincodec.Int(c, &cs.TotalIntra)
+	bincodec.Int(c, &cs.TotalInter)
+	c.F64(&cs.MeanBotnets)
+	walkCounts(c, &cs.Intra)
+	walkCounts(c, &cs.Inter)
+	walkCounts(c, &cs.PairCounts)
 
-	pairs := make([]string, 0, len(c.PairCounts))
-	for p := range c.PairCounts {
-		pairs = append(pairs, p)
-	}
-	sort.Strings(pairs)
-	w.uvarint(uint64(len(pairs)))
-	for _, p := range pairs {
-		w.str(p)
-		w.varint(int64(c.PairCounts[p]))
-	}
-
-	w.uvarint(uint64(len(c.Recent)))
-	for _, cand := range c.Recent {
-		w.str(cand.Target)
-		w.varint(cand.Start.UnixNano())
-		w.uvarint(uint64(len(cand.Families)))
-		for _, f := range cand.Families {
-			w.str(string(f))
+	n := bincodec.Slice(c, &cs.Recent, 6)
+	for i := 0; i < n && c.Err() == nil; i++ {
+		cand := &cs.Recent[i]
+		c.Str(&cand.Target)
+		c.Time(&cand.Start)
+		nf := bincodec.Slice(c, &cand.Families, 1)
+		for j := 0; j < nf && c.Err() == nil; j++ {
+			bincodec.String(c, &cand.Families[j])
 		}
-		w.varint(int64(cand.Botnets))
-		w.varint(int64(cand.Attacks))
-		w.uvarint(cand.Seq)
-		w.bool(cand.Open)
+		bincodec.Int(c, &cand.Botnets)
+		bincodec.Int(c, &cand.Attacks)
+		c.Uvarint(&cand.Seq)
+		c.Bool(&cand.Open)
 	}
-	w.varint(int64(c.OpenWindows))
-	w.varint(int64(c.Qualified))
-	w.varint(int64(c.BotnetTotal))
+	bincodec.Int(c, &cs.OpenWindows)
+	bincodec.Int(c, &cs.Qualified)
+	bincodec.Int(c, &cs.BotnetTotal)
 }
 
-// encodeFamilyCounts writes a family→count map in sorted-family order so
-// the encoding is deterministic regardless of map iteration.
-//
-//botvet:codec encode familyCounts
-func encodeFamilyCounts(w *wireWriter, m map[dataset.Family]int) {
-	fams := make([]dataset.Family, 0, len(m))
-	for f := range m {
-		fams = append(fams, f)
+// walkCounts walks a string-keyed count map (family counts, collaboration
+// pair counts) in sorted-key order, so the encoding is deterministic
+// regardless of map iteration. Decoding always yields a non-nil map.
+func walkCounts[K ~string](c *bincodec.Coder, m *map[K]int) {
+	keys := make([]K, 0, len(*m))
+	for k := range *m {
+		keys = append(keys, k)
 	}
-	sort.Slice(fams, func(i, j int) bool { return fams[i] < fams[j] })
-	w.uvarint(uint64(len(fams)))
-	for _, f := range fams {
-		w.str(string(f))
-		w.varint(int64(m[f]))
+	slices.Sort(keys)
+	n := len(keys)
+	c.Count(&n, 2)
+	if c.Decoding() {
+		*m = make(map[K]int, n)
 	}
-}
-
-// decodeSnapshot parses a msgSnapResp payload.
-//
-//botvet:codec decode snapshot
-func decodeSnapshot(payload []byte) (ShardSnapshot, error) {
-	r := &wireReader{buf: payload}
-	var s ShardSnapshot
-	s.ShardID = int(r.varint())
-	s.Applied = r.uvarint()
-	sn := &s.Snap
-
-	sn.Ingested = int(r.varint())
-	sn.FirstStart = wireTime(r.varint())
-	sn.LastStart = wireTime(r.varint())
-	sn.ActiveAttacks = int(r.varint())
-
-	n := r.count(2)
-	for i := 0; i < n && r.err == nil; i++ {
-		sn.Protocols = append(sn.Protocols, core.ProtocolCount{
-			Category: dataset.Category(r.varint()),
-			Count:    int(r.varint()),
-		})
-	}
-
-	n = r.count(3)
-	for i := 0; i < n && r.err == nil; i++ {
-		sn.FamilyProtocol = append(sn.FamilyProtocol, core.FamilyProtocolRow{
-			Category: dataset.Category(r.varint()),
-			Family:   dataset.Family(r.str()),
-			Count:    int(r.varint()),
-		})
-	}
-
-	decodeDaily(r, &sn.Daily)
-	decodeSummary(r, &sn.Intervals.Summary)
-	sn.Intervals.SimultaneousFrac = r.f64()
-	sn.Intervals.ExactZeroFrac = r.f64()
-	decodeSummary(r, &sn.Durations.Summary)
-	sn.Durations.FracUnder4h = r.f64()
-	sn.Durations.FracUnder60s = r.f64()
-	sn.Load.Peak = int(r.varint())
-	sn.Load.PeakTime = wireTime(r.varint())
-	sn.Load.TimeWeightedMean = r.f64()
-	decodeCollab(r, &sn.Collaborations)
-	return s, r.err
-}
-
-// wireTime reconstructs a wire timestamp; the zero time round-trips as
-// itself so "never set" survives the trip.
-func wireTime(nanos int64) time.Time {
-	var zero time.Time
-	if nanos == zero.UnixNano() {
-		return zero
-	}
-	return time.Unix(0, nanos).UTC()
-}
-
-//botvet:codec decode daily
-func decodeDaily(r *wireReader, d *core.DailyStats) {
-	d.Average = r.f64()
-	d.Max = int(r.varint())
-	d.MaxDay = wireTime(r.varint())
-	d.MaxDominantFamily = dataset.Family(r.str())
-	n := r.count(3)
-	for i := 0; i < n && r.err == nil; i++ {
-		dc := core.DailyCount{
-			Day:      wireTime(r.varint()),
-			Count:    int(r.varint()),
-			ByFamily: decodeFamilyCounts(r),
+	for i := 0; i < n && c.Err() == nil; i++ {
+		var k K
+		var v int
+		if !c.Decoding() {
+			k, v = keys[i], (*m)[keys[i]]
 		}
-		d.Days = append(d.Days, dc)
-	}
-}
-
-//botvet:codec decode summary
-func decodeSummary(r *wireReader, s *stats.Summary) {
-	s.N = int(r.varint())
-	s.Mean = r.f64()
-	s.Median = r.f64()
-	s.StdDev = r.f64()
-	s.Min = r.f64()
-	s.Max = r.f64()
-	s.P80 = r.f64()
-	s.P95 = r.f64()
-}
-
-//botvet:codec decode collab
-func decodeCollab(r *wireReader, c *stream.CollabSummary) {
-	c.TotalIntra = int(r.varint())
-	c.TotalInter = int(r.varint())
-	c.MeanBotnets = r.f64()
-	c.Intra = decodeFamilyCounts(r)
-	c.Inter = decodeFamilyCounts(r)
-
-	n := r.count(2)
-	c.PairCounts = make(map[string]int, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		p := r.str()
-		c.PairCounts[p] = int(r.varint())
-	}
-
-	n = r.count(6)
-	for i := 0; i < n && r.err == nil; i++ {
-		cand := stream.CollabCandidate{
-			Target: r.str(),
-			Start:  wireTime(r.varint()),
+		bincodec.String(c, &k)
+		bincodec.Int(c, &v)
+		if c.Decoding() {
+			(*m)[k] = v
 		}
-		fn := r.count(1)
-		for j := 0; j < fn && r.err == nil; j++ {
-			cand.Families = append(cand.Families, dataset.Family(r.str()))
-		}
-		cand.Botnets = int(r.varint())
-		cand.Attacks = int(r.varint())
-		cand.Seq = r.uvarint()
-		cand.Open = r.bool()
-		c.Recent = append(c.Recent, cand)
 	}
-	c.OpenWindows = int(r.varint())
-	c.Qualified = int(r.varint())
-	c.BotnetTotal = int(r.varint())
-}
-
-//botvet:codec decode familyCounts
-func decodeFamilyCounts(r *wireReader) map[dataset.Family]int {
-	n := r.count(2)
-	m := make(map[dataset.Family]int, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		f := dataset.Family(r.str())
-		m[f] = int(r.varint())
-	}
-	return m
 }
 
 // maxRecent mirrors internal/stream's bound on the live candidate ring.

@@ -58,9 +58,7 @@ func mergeFixture(t testing.TB) ([]*ShardSnapshot, stream.Snapshot) {
 			s := ShardSnapshot{ShardID: id, Applied: seq, Snap: an.Snapshot()}
 			// Round-trip through the wire codec so the fixture covers
 			// exactly what the frontend merges: decoded snapshots.
-			w := &wireWriter{}
-			encodeSnapshot(w, &s)
-			dec, err := decodeSnapshot(w.buf)
+			dec, err := fromWire(walkSnapshot, toWire(walkSnapshot, &s))
 			if err != nil {
 				mergeErr = err
 				return

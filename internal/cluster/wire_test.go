@@ -100,10 +100,9 @@ func TestIngestCodecRoundTrip(t *testing.T) {
 			ID: 6, Start: start.Add(time.Minute), End: start.Add(time.Minute + 90*time.Minute)},
 		{Seq: 3, ID: 7, Start: start.Add(2 * time.Minute), End: start.Add(2 * time.Minute)},
 	}
-	w := &wireWriter{}
-	encodeIngest(w, entries)
+	payload := toWire(walkIngest, &entries)
 
-	got, err := decodeIngest(w.buf)
+	got, err := fromWire(walkIngest, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,27 +114,25 @@ func TestIngestCodecRoundTrip(t *testing.T) {
 	}
 
 	// Every truncation of a valid payload must fail cleanly, never panic.
-	for i := 0; i < len(w.buf); i++ {
-		if _, err := decodeIngest(w.buf[:i]); err == nil && i < len(w.buf) {
+	for i := 0; i < len(payload); i++ {
+		if _, err := fromWire(walkIngest, payload[:i]); err == nil {
 			// A strict prefix can only be valid if it still decodes the
-			// declared count; decodeIngest checks r.err, so any nil error
-			// on a truncation is a bug.
-			t.Fatalf("decodeIngest accepted truncation at %d bytes", i)
+			// declared count; the walker's decoder is sticky, so any nil
+			// error on a truncation is a bug.
+			t.Fatalf("ingest decode accepted truncation at %d bytes", i)
 		}
 	}
 }
 
 func TestHelloAndIngestAckRoundTrip(t *testing.T) {
-	w := &wireWriter{}
-	encodeHelloAck(w, helloAck{ShardID: 42, Applied: 1 << 40})
-	h, err := decodeHelloAck(w.buf)
+	hello := helloAck{ShardID: 42, Applied: 1 << 40}
+	h, err := fromWire(walkHelloAck, toWire(walkHelloAck, &hello))
 	if err != nil || h.ShardID != 42 || h.Applied != 1<<40 {
 		t.Errorf("helloAck = %+v, %v", h, err)
 	}
 
-	w = &wireWriter{}
-	encodeIngestAck(w, ingestAck{Applied: 12345})
-	a, err := decodeIngestAck(w.buf)
+	ack := ingestAck{Applied: 12345}
+	a, err := fromWire(walkIngestAck, toWire(walkIngestAck, &ack))
 	if err != nil || a.Applied != 12345 {
 		t.Errorf("ingestAck = %+v, %v", a, err)
 	}
@@ -172,7 +169,7 @@ func TestShardBusyAckWhenQueueFull(t *testing.T) {
 	if resp.Type != msgHelloAck || resp.Flags != 0 {
 		t.Fatalf("hello resp = %+v", resp)
 	}
-	h, err := decodeHelloAck(resp.Payload)
+	h, err := fromWire(walkHelloAck, resp.Payload)
 	if err != nil || h.ShardID != 3 {
 		t.Fatalf("hello ack = %+v, %v", h, err)
 	}

@@ -4,25 +4,23 @@ package dataset
 // A snapshot serializes the columnar core (columns.go) — interned string
 // table, attack/bot/botnet columns, and the dense source-IP layer — so a
 // generated workload reloads in seconds instead of being regenerated and
-// re-indexed. The encoding reuses the discipline of internal/cluster's
-// BSCW wire codec: unsigned varints everywhere, zigzag varints for
-// signed values, IEEE-754 bit patterns for floats (bit-exact round
-// trips), length-prefixed strings, tagged 0/4/16-byte addresses, and a
-// sticky-error reader whose collection counts are sanity-checked against
-// the bytes remaining so a corrupt length cannot force an arbitrary
-// allocation.
+// re-indexed. Each section is written once, as a walker over a
+// bincodec.Coder: EncodeSnapshot runs the six walkers with an encoder,
+// the decoder runs the same six with a decoder, so the two directions
+// cannot drift apart. The value rules (varints, IEEE-754 floats, tagged
+// addresses, the sticky error and the count guard) live in
+// internal/bincodec, shared with the cluster wire protocol.
 //
 // Format versioning rules: the magic never changes; the version byte
 // bumps on any layout change (there is no in-place migration — a
 // snapshot is a cache of a reproducible workload, so "regenerate and
-// re-snapshot" is always safe); decoders reject unknown versions rather
-// than guessing. Writers emit the current version; readers accept both
-// v2 and the legacy v1 layout. Within a version, decode is strict: every
-// interned-id and row reference is bounds-checked, attack rows must
-// arrive sorted by (Start, ID) with unique ids, dense ids must be
-// numbered in first-appearance order, and trailing bytes (in the stream,
-// and in v2 inside each section frame) are an error. A decoded store
-// therefore satisfies exactly the invariants NewStore enforces.
+// re-snapshot" is always safe); decoders reject every version but the
+// current one rather than guessing. Decode is strict: every interned-id
+// and row reference is bounds-checked, attack rows must arrive sorted by
+// (Start, ID) with unique ids, dense ids must be numbered in
+// first-appearance order, and trailing bytes (in the stream, and inside
+// each section frame) are an error. A decoded store therefore satisfies
+// exactly the invariants NewStore enforces.
 //
 // Layout (version 2):
 //
@@ -36,8 +34,7 @@ package dataset
 //
 // The fixed-width frame header lets the encoder emit each payload
 // straight into the output buffer and backfill length + checksum, and
-// lets a reader verify or skip a section without parsing it. Payload
-// encodings are byte-identical to the v1 section bodies:
+// lets a reader verify or skip a section without parsing it. Payloads:
 //
 //	strings:  count | (len | bytes)*
 //	targets:  count | addr*
@@ -47,13 +44,12 @@ package dataset
 //	          startΔ* | endΔ* | asn* | cc* | city* | org* | lat* | lon* | span*
 //	dense:    count | ip* | ref* | rec*
 //
-// Version 1 is the same six payloads concatenated with no frame headers.
-//
 // Sections are column-major: each column is one contiguous run, which
-// keeps related varints adjacent. Attack starts are deltas from the
-// previous row (the sort makes them small and non-negative), ends are
-// deltas from their own start, bot LastActive values are zigzag deltas
-// from the previous row (clustered inside the paper window).
+// keeps related varints adjacent and lets the decoder choose its
+// direction once per column. Attack starts are deltas from the previous
+// row (the sort makes them small and non-negative), ends are deltas from
+// their own start, bot LastActive values are zigzag deltas from the
+// previous row (clustered inside the paper window).
 //
 // The per-section checksums also feed a process-local validation cache:
 // when a snapshot whose six (length, crc) pairs were already fully
@@ -62,33 +58,30 @@ package dataset
 // re-validation (validateColumns) is skipped.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
-	"net/netip"
 	"os"
 	"sync"
+
+	"botscope/internal/bincodec"
 )
 
 // Snapshot codec constants.
 const (
-	snapMagic     = "BSCS"
-	snapVersion   = 2
-	snapVersionV1 = 1
+	snapMagic   = "BSCS"
+	snapVersion = 2
 )
 
-// Section ids of the v2 frame layout, in stream order.
-const (
-	secStrings = 1
-	secTargets = 2
-	secBotnets = 3
-	secBots    = 4
-	secAttacks = 5
-	secDense   = 6
-)
+// snapSections are the section walkers in stream order: section id i+1
+// is snapSections[i], named snapSectionName[i+1].
+var snapSections = [...]func(*bincodec.Coder, *Columns){
+	walkStrings, walkTargets, walkBotnets, walkBots, walkAttacks, walkDense,
+}
 
 // snapSectionName names each section for typed decode errors; index 0 is
 // the pre-section header.
@@ -121,7 +114,7 @@ func (e *SnapshotError) Error() string {
 
 func (e *SnapshotError) Unwrap() error { return e.Err }
 
-// validatedSnapshots caches the (length, crc) frame headers of v2
+// validatedSnapshots caches the (length, crc) frame headers of
 // snapshots that fully passed validateColumns in this process, so
 // re-loading a byte-identical snapshot skips semantic re-validation.
 var validatedSnapshots sync.Map // string (concatenated frame headers) -> struct{}
@@ -136,197 +129,6 @@ type SnapshotInfo struct {
 // SnapshotInfo reports how this store was loaded. The zero value means
 // the store was built from records, not a snapshot.
 func (s *Store) SnapshotInfo() SnapshotInfo { return s.snapInfo }
-
-// snapWriter appends primitives to a growing buffer, mirroring the wire
-// codec's value discipline.
-type snapWriter struct {
-	buf []byte
-}
-
-func (w *snapWriter) uvarint(v uint64) {
-	w.buf = binary.AppendUvarint(w.buf, v)
-}
-
-func (w *snapWriter) varint(v int64) {
-	w.buf = binary.AppendVarint(w.buf, v)
-}
-
-func (w *snapWriter) f64(v float64) {
-	w.buf = binary.BigEndian.AppendUint64(w.buf, math.Float64bits(v))
-}
-
-func (w *snapWriter) str(s string) {
-	w.buf = binary.AppendUvarint(w.buf, uint64(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-// addr encodes a netip.Addr as a 1-byte tag (0 = zero value, 4, or 16)
-// plus raw bytes. Unlike attack targets, bot and controller addresses
-// may legitimately be the zero Addr, which As16 would silently turn into
-// IPv6 "::" — the 0 tag preserves it.
-func (w *snapWriter) addr(a netip.Addr) {
-	if !a.IsValid() {
-		w.buf = append(w.buf, 0)
-		return
-	}
-	if a.Is4() {
-		b := a.As4()
-		w.buf = append(w.buf, 4)
-		w.buf = append(w.buf, b[:]...)
-		return
-	}
-	b := a.As16()
-	w.buf = append(w.buf, 16)
-	w.buf = append(w.buf, b[:]...)
-}
-
-// snapReader consumes primitives with a sticky error, so decode paths
-// read linearly and check once per section. section and end track where
-// the reader is for typed errors: end is the absolute offset (from the
-// start of the snapshot) of the last byte of buf, so the current
-// position is end - len(buf).
-type snapReader struct {
-	buf     []byte
-	err     error
-	section string
-	end     int64
-}
-
-// off returns the reader's absolute offset into the snapshot bytes.
-func (r *snapReader) off() int64 { return r.end - int64(len(r.buf)) }
-
-func (r *snapReader) fail() {
-	if r.err == nil {
-		r.err = &SnapshotError{Section: r.section, Offset: r.off(), Err: ErrSnapshotTruncated}
-	}
-}
-
-func (r *snapReader) failf(format string, args ...any) {
-	if r.err == nil {
-		r.err = &SnapshotError{
-			Section: r.section,
-			Offset:  r.off(),
-			Err:     fmt.Errorf("%w: "+format, append([]any{ErrSnapshotCorrupt}, args...)...),
-		}
-	}
-}
-
-func (r *snapReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-func (r *snapReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.buf)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-func (r *snapReader) f64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf) < 8 {
-		r.fail()
-		return 0
-	}
-	v := math.Float64frombits(binary.BigEndian.Uint64(r.buf))
-	r.buf = r.buf[8:]
-	return v
-}
-
-func (r *snapReader) str() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if uint64(len(r.buf)) < n {
-		r.fail()
-		return ""
-	}
-	s := string(r.buf[:n])
-	r.buf = r.buf[n:]
-	return s
-}
-
-func (r *snapReader) addr() netip.Addr {
-	if r.err != nil {
-		return netip.Addr{}
-	}
-	if len(r.buf) < 1 {
-		r.fail()
-		return netip.Addr{}
-	}
-	n := int(r.buf[0])
-	r.buf = r.buf[1:]
-	switch n {
-	case 0:
-		return netip.Addr{}
-	case 4, 16:
-	default:
-		r.fail()
-		return netip.Addr{}
-	}
-	if len(r.buf) < n {
-		r.fail()
-		return netip.Addr{}
-	}
-	var a netip.Addr
-	if n == 4 {
-		a = netip.AddrFrom4([4]byte(r.buf[:4]))
-	} else {
-		a = netip.AddrFrom16([16]byte(r.buf[:16]))
-	}
-	r.buf = r.buf[n:]
-	return a
-}
-
-// count reads a collection length and sanity-checks it against the bytes
-// remaining (every element costs at least minBytes somewhere later in
-// the stream — in v2, later in the same section payload), so a corrupt
-// count cannot force an arbitrary allocation.
-func (r *snapReader) count(minBytes int) int {
-	n := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if minBytes < 1 {
-		minBytes = 1
-	}
-	if n > uint64(len(r.buf)/minBytes) {
-		r.fail()
-		return 0
-	}
-	return int(n)
-}
-
-// strID reads an interned string id and bounds-checks it.
-func (r *snapReader) strID(nStr int) int32 {
-	v := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if v >= uint64(nStr) {
-		r.failf("string id %d out of range (%d interned)", v, nStr)
-		return 0
-	}
-	return int32(v)
-}
 
 // WriteSnapshot writes the store's BSCS snapshot to w. It returns
 // ErrStoreClosed for a closed store: encoding reads the columns, and on
@@ -399,8 +201,7 @@ func readSnapshotMapped(f *os.File) (s *Store, err error, done bool) {
 }
 
 // EncodeSnapshot serializes the store's columnar form (deriving it from
-// the records first if this store was never columnized) in the current
-// (v2) frame layout.
+// the records first if this store was never columnized).
 func EncodeSnapshot(s *Store) []byte {
 	c := s.Cols()
 	d := s.denseBots()
@@ -411,168 +212,26 @@ func EncodeSnapshot(s *Store) []byte {
 	hint := 160 + strBytes +
 		21*(len(c.targets)+len(d.ips)+len(c.nID)) +
 		64*len(c.bIP) + 80*len(c.aID) + 5*c.NumRefs() + 2*len(d.rec)
-	w := &snapWriter{buf: make([]byte, 0, hint)}
-	w.buf = append(w.buf, snapMagic...)
-	w.uvarint(snapVersion)
-
-	frame := func(id byte, enc func()) {
-		w.buf = append(w.buf, id)
-		hdr := len(w.buf)
-		w.buf = append(w.buf, make([]byte, 12)...)
-		start := len(w.buf)
-		enc()
-		payload := w.buf[start:]
-		binary.BigEndian.PutUint64(w.buf[hdr:hdr+8], uint64(len(payload)))
-		binary.BigEndian.PutUint32(w.buf[hdr+8:hdr+12], crc32.Checksum(payload, castagnoli))
-	}
-	frame(secStrings, func() { encStrings(w, c) })
-	frame(secTargets, func() { encTargets(w, c) })
-	frame(secBotnets, func() { encBotnets(w, c) })
-	frame(secBots, func() { encBots(w, c) })
-	frame(secAttacks, func() { encAttacks(w, c) })
-	frame(secDense, func() { encDense(w, d) })
-	return w.buf
+	buf := append(make([]byte, 0, hint), snapMagic...)
+	buf = binary.AppendUvarint(buf, snapVersion)
+	return appendSections(buf, c, len(snapSections))
 }
 
-// The enc* functions emit one section payload each; both the v2 encoder
-// and the test-only v1 encoder compose them, which is what keeps the two
-// layouts byte-compatible at the payload level.
-
-//botvet:codec encode strings
-func encStrings(w *snapWriter, c *Columns) {
-	w.uvarint(uint64(len(c.strs)))
-	for _, str := range c.strs {
-		w.str(str)
+// appendSections appends the frames of the first n sections of c to buf:
+// each walker encodes its payload straight into buf behind a placeholder
+// header, which is then backfilled with the payload length and checksum.
+func appendSections(buf []byte, c *Columns, n int) []byte {
+	for i, walk := range snapSections[:n] {
+		buf = append(buf, byte(i+1))
+		hdr := len(buf)
+		enc := bincodec.NewEncoder(append(buf, make([]byte, 12)...))
+		walk(enc, c)
+		buf = enc.Bytes()
+		payload := buf[hdr+12:]
+		binary.BigEndian.PutUint64(buf[hdr:], uint64(len(payload)))
+		binary.BigEndian.PutUint32(buf[hdr+8:], crc32.Checksum(payload, castagnoli))
 	}
-}
-
-//botvet:codec encode targets
-func encTargets(w *snapWriter, c *Columns) {
-	w.uvarint(uint64(len(c.targets)))
-	for _, a := range c.targets {
-		w.addr(a)
-	}
-}
-
-//botvet:codec encode botnets
-func encBotnets(w *snapWriter, c *Columns) {
-	w.uvarint(uint64(len(c.nID)))
-	for _, v := range c.nID {
-		w.uvarint(uint64(v))
-	}
-	for _, v := range c.nFam {
-		w.uvarint(uint64(v))
-	}
-	for _, v := range c.nHash {
-		w.uvarint(uint64(v))
-	}
-	for _, a := range c.nCtrl {
-		w.addr(a)
-	}
-	for _, v := range c.nFirst {
-		w.varint(v)
-	}
-	for _, v := range c.nLast {
-		w.varint(v)
-	}
-}
-
-//botvet:codec encode bots
-func encBots(w *snapWriter, c *Columns) {
-	w.uvarint(uint64(len(c.bIP)))
-	for _, a := range c.bIP {
-		w.addr(a)
-	}
-	for _, v := range c.bASN {
-		w.varint(v)
-	}
-	for _, v := range c.bCC {
-		w.uvarint(uint64(v))
-	}
-	for _, v := range c.bCity {
-		w.uvarint(uint64(v))
-	}
-	for _, v := range c.bOrg {
-		w.uvarint(uint64(v))
-	}
-	for _, v := range c.bLat {
-		w.f64(v)
-	}
-	for _, v := range c.bLon {
-		w.f64(v)
-	}
-	prev := int64(0)
-	for _, v := range c.bLast {
-		w.varint(v - prev)
-		prev = v
-	}
-}
-
-//botvet:codec encode attacks
-func encAttacks(w *snapWriter, c *Columns) {
-	n := len(c.aID)
-	w.uvarint(uint64(n))
-	w.uvarint(uint64(c.NumRefs()))
-	for _, v := range c.aID {
-		w.uvarint(v)
-	}
-	for _, v := range c.aBotnet {
-		w.uvarint(uint64(v))
-	}
-	for _, v := range c.aFam {
-		w.uvarint(uint64(v))
-	}
-	w.buf = append(w.buf, c.aCat...)
-	for _, v := range c.aTgt {
-		w.uvarint(uint64(v))
-	}
-	prev := int64(0)
-	for i, v := range c.aStart {
-		if i == 0 {
-			w.varint(v)
-		} else {
-			w.uvarint(uint64(v - prev)) // sorted: non-negative
-		}
-		prev = v
-	}
-	for i, v := range c.aEnd {
-		w.uvarint(uint64(v - c.aStart[i])) // validated: End >= Start
-	}
-	for _, v := range c.aASN {
-		w.varint(v)
-	}
-	for _, v := range c.aCC {
-		w.uvarint(uint64(v))
-	}
-	for _, v := range c.aCity {
-		w.uvarint(uint64(v))
-	}
-	for _, v := range c.aOrg {
-		w.uvarint(uint64(v))
-	}
-	for _, v := range c.aLat {
-		w.f64(v)
-	}
-	for _, v := range c.aLon {
-		w.f64(v)
-	}
-	for i := 0; i < n; i++ {
-		w.uvarint(uint64(c.aOff[i+1] - c.aOff[i]))
-	}
-}
-
-//botvet:codec encode dense
-func encDense(w *snapWriter, d *denseBots) {
-	w.uvarint(uint64(len(d.ips)))
-	for _, a := range d.ips {
-		w.addr(a)
-	}
-	for _, v := range d.refs {
-		w.uvarint(uint64(v))
-	}
-	for _, row := range d.rec {
-		w.uvarint(uint64(row + 1)) // 0 = unresolved
-	}
+	return buf
 }
 
 // DecodeSnapshot parses a BSCS snapshot and returns a lazy store over
@@ -588,424 +247,224 @@ func DecodeSnapshot(data []byte) (*Store, error) {
 // reference data directly (the caller guarantees data is immutable and
 // outlives the store); mapped records provenance in SnapshotInfo.
 func decodeSnapshot(data []byte, alias, mapped bool) (*Store, error) {
-	c, version, crcKey, err := decodeColumns(data, alias)
+	c, crcKey, err := decodeColumns(data)
 	if err != nil {
 		return nil, err
 	}
-	validate := true
-	if crcKey != "" {
-		if _, ok := validatedSnapshots.Load(crcKey); ok {
-			validate = false
-		}
+	if !alias {
+		c.aCat = bytes.Clone(c.aCat)
 	}
-	s, err := newLazyStore(c, validate)
+	_, validated := validatedSnapshots.Load(crcKey)
+	s, err := newLazyStore(c, !validated)
 	if err != nil {
 		return nil, err
 	}
-	if validate && crcKey != "" {
+	if !validated {
 		validatedSnapshots.Store(crcKey, struct{}{})
 	}
-	s.snapInfo = SnapshotInfo{Version: version, Bytes: int64(len(data)), Mapped: mapped}
+	s.snapInfo = SnapshotInfo{Version: snapVersion, Bytes: int64(len(data)), Mapped: mapped}
 	return s, nil
 }
 
-// decodeColumns parses either snapshot layout into columns. It returns
-// the format version and, for v2, the concatenated frame headers as the
-// validation-cache key ("" for v1: without checksums there is no safe
-// identity to cache under).
-func decodeColumns(data []byte, alias bool) (*Columns, int, string, error) {
+// snapErr locates a section walker's decode error in the snapshot: base
+// is the absolute offset of the walker's input.
+func snapErr(c *bincodec.Coder, section string, base int) error {
+	if c.Err() == nil {
+		return nil
+	}
+	return &SnapshotError{Section: section, Offset: int64(base + c.ErrOff()), Err: c.Err()}
+}
+
+// corrupt records a decode-side validation failure on c.
+func corrupt(c *bincodec.Coder, format string, args ...any) {
+	c.Fail(fmt.Errorf("%w: "+format, append([]any{ErrSnapshotCorrupt}, args...)...))
+}
+
+// decodeColumns parses a snapshot into columns, returning the
+// concatenated frame headers as the validation-cache key. The raw
+// category column aliases data.
+func decodeColumns(data []byte) (*Columns, string, error) {
 	if len(data) < len(snapMagic) {
-		return nil, 0, "", ErrSnapshotTruncated
+		return nil, "", ErrSnapshotTruncated
 	}
 	if string(data[:len(snapMagic)]) != snapMagic {
-		return nil, 0, "", ErrSnapshotMagic
+		return nil, "", ErrSnapshotMagic
 	}
-	r := &snapReader{buf: data[len(snapMagic):], end: int64(len(data)), section: "header"}
-	v := r.uvarint()
-	if r.err != nil {
-		return nil, 0, "", r.err
+	off := len(snapMagic)
+	hdr := bincodec.NewDecoder(data[off:], ErrSnapshotTruncated)
+	var v uint64
+	hdr.Uvarint(&v)
+	if err := snapErr(hdr, "header", off); err != nil {
+		return nil, "", err
 	}
-	switch v {
-	case snapVersionV1:
-		c, err := decodeColumnsV1(r, alias)
-		return c, snapVersionV1, "", err
-	case snapVersion:
-		c, key, err := decodeColumnsV2(r, alias)
-		return c, snapVersion, key, err
-	default:
-		return nil, 0, "", fmt.Errorf("%w: got %d, want <= %d", ErrSnapshotVersion, v, snapVersion)
+	if v != snapVersion {
+		return nil, "", fmt.Errorf("%w: got %d, want %d", ErrSnapshotVersion, v, snapVersion)
 	}
-}
+	off += hdr.Off()
 
-// decodeColumnsV1 parses the legacy flat layout: the six section
-// payloads concatenated with no frame headers.
-func decodeColumnsV1(r *snapReader, alias bool) (*Columns, error) {
 	c := &Columns{}
-	nStr := parseStrings(r, c)
-	nTgt := parseTargets(r, c)
-	parseBotnets(r, c, nStr)
-	nb := parseBots(r, c, nStr)
-	nRefs := parseAttacks(r, c, nStr, nTgt, alias)
-	parseDense(r, c, nRefs, nb)
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.buf) != 0 {
-		return nil, &SnapshotError{
-			Section: r.section,
-			Offset:  r.off(),
-			Err:     fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, len(r.buf)),
+	key := make([]byte, 0, 13*len(snapSections))
+	for i, walk := range snapSections {
+		id, name := byte(i+1), snapSectionName[i+1]
+		rest := data[off:]
+		if len(rest) < 13 {
+			return nil, "", &SnapshotError{Section: name, Offset: int64(off), Err: ErrSnapshotTruncated}
 		}
-	}
-	return c, nil
-}
-
-// decodeColumnsV2 parses the framed layout: six checksummed sections in
-// fixed order.
-func decodeColumnsV2(r *snapReader, alias bool) (*Columns, string, error) {
-	c := &Columns{}
-	key := make([]byte, 0, 6*13)
-	var nStr, nTgt, nb, nRefs int
-	for sec := byte(secStrings); sec <= secDense; sec++ {
-		r.section = snapSectionName[sec]
-		if len(r.buf) < 13 {
-			r.fail()
-			return nil, "", r.err
+		if rest[0] != id {
+			return nil, "", &SnapshotError{Section: name, Offset: int64(off),
+				Err: fmt.Errorf("%w: section id %d, want %d (%s)", ErrSnapshotCorrupt, rest[0], id, name)}
 		}
-		if r.buf[0] != sec {
-			r.failf("section id %d, want %d (%s)", r.buf[0], sec, snapSectionName[sec])
-			return nil, "", r.err
+		plen := binary.BigEndian.Uint64(rest[1:9])
+		sum := binary.BigEndian.Uint32(rest[9:13])
+		key = append(key, rest[:13]...)
+		off += 13
+		if uint64(len(data)-off) < plen {
+			return nil, "", &SnapshotError{Section: name, Offset: int64(off), Err: ErrSnapshotTruncated}
 		}
-		plen := binary.BigEndian.Uint64(r.buf[1:9])
-		sum := binary.BigEndian.Uint32(r.buf[9:13])
-		key = append(key, r.buf[:13]...)
-		r.buf = r.buf[13:]
-		if uint64(len(r.buf)) < plen {
-			r.fail()
-			return nil, "", r.err
-		}
-		payload := r.buf[:plen]
+		payload := data[off : off+int(plen)]
 		if crc32.Checksum(payload, castagnoli) != sum {
-			r.failf("%s section checksum mismatch", snapSectionName[sec])
-			return nil, "", r.err
+			return nil, "", &SnapshotError{Section: name, Offset: int64(off),
+				Err: fmt.Errorf("%w: %s section checksum mismatch", ErrSnapshotCorrupt, name)}
 		}
-		base := r.off()
-		r.buf = r.buf[plen:]
-		sr := &snapReader{buf: payload, end: base + int64(plen), section: snapSectionName[sec]}
-		switch sec {
-		case secStrings:
-			nStr = parseStrings(sr, c)
-		case secTargets:
-			nTgt = parseTargets(sr, c)
-		case secBotnets:
-			parseBotnets(sr, c, nStr)
-		case secBots:
-			nb = parseBots(sr, c, nStr)
-		case secAttacks:
-			nRefs = parseAttacks(sr, c, nStr, nTgt, alias)
-		case secDense:
-			parseDense(sr, c, nRefs, nb)
+		dec := bincodec.NewDecoder(payload, ErrSnapshotTruncated)
+		walk(dec, c)
+		if left := len(dec.Bytes()); dec.Err() == nil && left != 0 {
+			corrupt(dec, "%d trailing bytes in %s section", left, name)
 		}
-		if sr.err != nil {
-			return nil, "", sr.err
+		if err := snapErr(dec, name, off); err != nil {
+			return nil, "", err
 		}
-		if len(sr.buf) != 0 {
-			return nil, "", &SnapshotError{
-				Section: snapSectionName[sec],
-				Offset:  sr.off(),
-				Err:     fmt.Errorf("%w: %d trailing bytes in %s section", ErrSnapshotCorrupt, len(sr.buf), snapSectionName[sec]),
-			}
-		}
+		off += int(plen)
 	}
-	if len(r.buf) != 0 {
-		return nil, "", &SnapshotError{
-			Section: "trailer",
-			Offset:  r.off(),
-			Err:     fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, len(r.buf)),
-		}
+	if off != len(data) {
+		return nil, "", &SnapshotError{Section: "trailer", Offset: int64(off),
+			Err: fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, len(data)-off)}
 	}
 	return c, string(key), nil
 }
 
-// The parse* functions consume one section payload each; the v1 decoder
-// runs them back to back over one reader, the v2 decoder gives each its
-// own framed sub-reader. Each sets the reader's section name so sticky
-// errors carry their location.
-
-//botvet:codec decode strings
-func parseStrings(r *snapReader, c *Columns) int {
-	r.section = snapSectionName[secStrings]
-	nStr := r.count(1)
-	c.strs = make([]string, nStr)
-	for i := range c.strs {
-		c.strs[i] = r.str()
-	}
-	if r.err == nil && (nStr == 0 || c.strs[0] != "") {
-		r.failf("string table must start with the empty string")
-	}
-	return nStr
+// strIDs walks a column of interned-string ids; decoding rejects any id
+// past the string table.
+func strIDs(c *bincodec.Coder, col *[]int32, n int, cols *Columns) {
+	ids(c, col, n, uint64(len(cols.strs)), "string id")
 }
 
-//botvet:codec decode targets
-func parseTargets(r *snapReader, c *Columns) int {
-	r.section = snapSectionName[secTargets]
-	nTgt := r.count(1)
-	c.targets = make([]netip.Addr, nTgt)
-	for i := range c.targets {
-		c.targets[i] = r.addr()
+// ids walks a column of row ids into a table of limit rows; decoding
+// rejects any id outside it (for a uint32 column, limit 1<<32 rejects
+// overflow).
+func ids[T ~int32 | ~uint32](c *bincodec.Coder, col *[]T, n int, limit uint64, what string) {
+	if hi := bincodec.Uvarints(c, col, n); c.Decoding() && n > 0 && hi >= limit {
+		corrupt(c, "%s %d out of range (limit %d)", what, hi, limit)
 	}
-	return nTgt
 }
 
-//botvet:codec decode botnets
-func parseBotnets(r *snapReader, c *Columns, nStr int) {
-	r.section = snapSectionName[secBotnets]
+func walkStrings(c *bincodec.Coder, cols *Columns) {
+	n := len(cols.strs)
+	c.Count(&n, 1)
+	bincodec.Strs(c, &cols.strs, n)
+	if c.Decoding() && c.Err() == nil && (n == 0 || cols.strs[0] != "") {
+		corrupt(c, "string table must start with the empty string")
+	}
+}
+
+func walkTargets(c *bincodec.Coder, cols *Columns) {
+	n := len(cols.targets)
+	c.Count(&n, 1)
+	bincodec.Addrs(c, &cols.targets, n)
+}
+
+func walkBotnets(c *bincodec.Coder, cols *Columns) {
 	// Botnet rows cost at least 1 byte in each of 6 columns.
-	nn := r.count(6)
-	c.nID = make([]uint32, nn)
-	for i := range c.nID {
-		v := r.uvarint()
-		if r.err == nil && v > math.MaxUint32 {
-			r.failf("botnet id %d overflows uint32", v)
-		}
-		c.nID[i] = uint32(v)
-	}
-	c.nFam = make([]int32, nn)
-	for i := range c.nFam {
-		c.nFam[i] = r.strID(nStr)
-	}
-	c.nHash = make([]int32, nn)
-	for i := range c.nHash {
-		c.nHash[i] = r.strID(nStr)
-	}
-	c.nCtrl = make([]netip.Addr, nn)
-	for i := range c.nCtrl {
-		c.nCtrl[i] = r.addr()
-	}
-	c.nFirst = make([]int64, nn)
-	for i := range c.nFirst {
-		c.nFirst[i] = r.varint()
-	}
-	c.nLast = make([]int64, nn)
-	for i := range c.nLast {
-		c.nLast[i] = r.varint()
-	}
+	n := len(cols.nID)
+	c.Count(&n, 6)
+	ids(c, &cols.nID, n, 1<<32, "botnet id")
+	strIDs(c, &cols.nFam, n, cols)
+	strIDs(c, &cols.nHash, n, cols)
+	bincodec.Addrs(c, &cols.nCtrl, n)
+	bincodec.Varints(c, &cols.nFirst, n)
+	bincodec.Varints(c, &cols.nLast, n)
 }
 
-//botvet:codec decode bots
-func parseBots(r *snapReader, c *Columns, nStr int) int {
-	r.section = snapSectionName[secBots]
+func walkBots(c *bincodec.Coder, cols *Columns) {
 	// Bot rows cost at least 1+1+1+1+1+8+8+1 = 22 bytes across columns.
-	nb := r.count(22)
-	c.bIP = make([]netip.Addr, nb)
-	for i := range c.bIP {
-		c.bIP[i] = r.addr()
-	}
-	c.bASN = make([]int64, nb)
-	for i := range c.bASN {
-		c.bASN[i] = r.varint()
-	}
-	c.bCC = make([]int32, nb)
-	for i := range c.bCC {
-		c.bCC[i] = r.strID(nStr)
-	}
-	c.bCity = make([]int32, nb)
-	for i := range c.bCity {
-		c.bCity[i] = r.strID(nStr)
-	}
-	c.bOrg = make([]int32, nb)
-	for i := range c.bOrg {
-		c.bOrg[i] = r.strID(nStr)
-	}
-	c.bLat = make([]float64, nb)
-	for i := range c.bLat {
-		c.bLat[i] = r.f64()
-	}
-	c.bLon = make([]float64, nb)
-	for i := range c.bLon {
-		c.bLon[i] = r.f64()
-	}
-	c.bLast = make([]int64, nb)
-	prev := int64(0)
-	for i := range c.bLast {
-		prev += r.varint()
-		c.bLast[i] = prev
-	}
-	return nb
+	n := len(cols.bIP)
+	c.Count(&n, 22)
+	bincodec.Addrs(c, &cols.bIP, n)
+	bincodec.Varints(c, &cols.bASN, n)
+	strIDs(c, &cols.bCC, n, cols)
+	strIDs(c, &cols.bCity, n, cols)
+	strIDs(c, &cols.bOrg, n, cols)
+	bincodec.F64s(c, &cols.bLat, n)
+	bincodec.F64s(c, &cols.bLon, n)
+	bincodec.Deltas(c, &cols.bLast, n)
 }
 
-//botvet:codec decode attacks
-func parseAttacks(r *snapReader, c *Columns, nStr, nTgt int, alias bool) int {
-	r.section = snapSectionName[secAttacks]
+func walkAttacks(c *bincodec.Coder, cols *Columns) {
 	// Attack rows cost at least 1 byte in each of 12 varint/byte columns
 	// plus 8 each for the two float columns: 28 bytes.
-	n := r.count(28)
+	n := len(cols.aID)
+	c.Count(&n, 28)
 	// The references themselves live in the dense section, so nRefs is
-	// only sanity-bounded here (the span sum must hit it exactly below,
-	// and the dense parser re-bounds it against its own payload before
-	// allocating).
-	nRefs64 := r.uvarint()
-	if r.err == nil && nRefs64 > math.MaxInt64/4 {
-		r.failf("reference count %d implausibly large", nRefs64)
+	// only sanity-bounded here: the span sum must hit it exactly below,
+	// and the dense walker re-bounds it against its own payload before
+	// allocating.
+	nRefs := uint64(cols.NumRefs())
+	c.Uvarint(&nRefs)
+	if c.Decoding() && nRefs > math.MaxInt64/4 {
+		corrupt(c, "reference count %d implausibly large", nRefs)
 	}
-	nRefs := int(nRefs64)
-	c.aID = make([]uint64, n)
-	for i := range c.aID {
-		c.aID[i] = r.uvarint()
+	bincodec.Uvarints(c, &cols.aID, n)
+	ids(c, &cols.aBotnet, n, 1<<32, "attack botnet id")
+	strIDs(c, &cols.aFam, n, cols)
+	c.Raw(&cols.aCat, n)
+	ids(c, &cols.aTgt, n, uint64(len(cols.targets)), "attack target id")
+	bincodec.Ascending(c, &cols.aStart, n)
+	bincodec.After(c, &cols.aEnd, cols.aStart)
+	bincodec.Varints(c, &cols.aASN, n)
+	strIDs(c, &cols.aCC, n, cols)
+	strIDs(c, &cols.aCity, n, cols)
+	strIDs(c, &cols.aOrg, n, cols)
+	bincodec.F64s(c, &cols.aLat, n)
+	bincodec.F64s(c, &cols.aLon, n)
+	if !bincodec.Spans(c, &cols.aOff, n, int64(nRefs)) {
+		corrupt(c, "attack spans exceed declared reference count %d", nRefs)
 	}
-	c.aBotnet = make([]uint32, n)
-	for i := range c.aBotnet {
-		v := r.uvarint()
-		if r.err == nil && v > math.MaxUint32 {
-			r.failf("attack botnet id %d overflows uint32", v)
-		}
-		c.aBotnet[i] = uint32(v)
+	if c.Decoding() && c.Err() == nil && cols.aOff[n] != int64(nRefs) {
+		corrupt(c, "attack spans cover %d references, header declares %d", cols.aOff[n], nRefs)
 	}
-	c.aFam = make([]int32, n)
-	for i := range c.aFam {
-		c.aFam[i] = r.strID(nStr)
-	}
-	if r.err == nil && len(r.buf) < n {
-		r.fail()
-	}
-	if r.err == nil {
-		if alias {
-			// The category column is stored as raw bytes, so over a mapped
-			// snapshot it can alias the file instead of being copied; the
-			// columns pin the mapping (Columns.mmap).
-			c.aCat = r.buf[:n:n]
-		} else {
-			c.aCat = make([]uint8, n)
-			copy(c.aCat, r.buf[:n])
-		}
-		r.buf = r.buf[n:]
-	} else {
-		c.aCat = make([]uint8, n)
-	}
-	c.aTgt = make([]int32, n)
-	for i := range c.aTgt {
-		v := r.uvarint()
-		if r.err == nil && v >= uint64(nTgt) {
-			r.failf("attack target id %d out of range (%d targets)", v, nTgt)
-		}
-		c.aTgt[i] = int32(v)
-	}
-	c.aStart = make([]int64, n)
-	prev := int64(0)
-	for i := range c.aStart {
-		if i == 0 {
-			prev = r.varint()
-		} else {
-			prev += int64(r.uvarint())
-		}
-		c.aStart[i] = prev
-	}
-	c.aEnd = make([]int64, n)
-	for i := range c.aEnd {
-		c.aEnd[i] = c.aStart[i] + int64(r.uvarint())
-	}
-	c.aASN = make([]int64, n)
-	for i := range c.aASN {
-		c.aASN[i] = r.varint()
-	}
-	c.aCC = make([]int32, n)
-	for i := range c.aCC {
-		c.aCC[i] = r.strID(nStr)
-	}
-	c.aCity = make([]int32, n)
-	for i := range c.aCity {
-		c.aCity[i] = r.strID(nStr)
-	}
-	c.aOrg = make([]int32, n)
-	for i := range c.aOrg {
-		c.aOrg[i] = r.strID(nStr)
-	}
-	c.aLat = make([]float64, n)
-	for i := range c.aLat {
-		c.aLat[i] = r.f64()
-	}
-	c.aLon = make([]float64, n)
-	for i := range c.aLon {
-		c.aLon[i] = r.f64()
-	}
-	c.aOff = make([]int64, n+1)
-	off := int64(0)
-	for i := 0; i < n; i++ {
-		c.aOff[i] = off
-		off += int64(r.uvarint())
-		if r.err == nil && off > int64(nRefs) {
-			r.failf("attack spans exceed declared reference count %d", nRefs)
-		}
-	}
-	c.aOff[n] = off
-	if r.err == nil && off != int64(nRefs) {
-		r.failf("attack spans cover %d references, header declares %d", off, nRefs)
-	}
-	return nRefs
 }
 
-//botvet:codec decode dense
-func parseDense(r *snapReader, c *Columns, nRefs, nb int) {
-	r.section = snapSectionName[secDense]
-	nDense := r.count(2)
-	ips := make([]netip.Addr, nDense)
-	for i := range ips {
-		ips[i] = r.addr()
+func walkDense(c *bincodec.Coder, cols *Columns) {
+	if c.Decoding() {
+		cols.dense = &denseBots{}
 	}
-	// Every reference costs at least 1 byte in the refs column, which
-	// bounds the allocation below even though nRefs was declared back in
-	// the attacks section.
-	if r.err == nil && uint64(nRefs) > uint64(len(r.buf)) {
-		r.fail()
-	}
-	if r.err != nil {
-		return
-	}
-	refs := make([]int32, nRefs)
-	nextID := int32(0)
-	for i := range refs {
-		v := r.uvarint()
-		if r.err != nil {
-			break
+	d := cols.dense
+	n := len(d.ips)
+	c.Count(&n, 2)
+	bincodec.Addrs(c, &d.ips, n)
+	hi := bincodec.Uvarints(c, &d.refs, cols.NumRefs())
+	if c.Decoding() && c.Err() == nil {
+		if len(d.refs) > 0 && hi >= uint64(n) {
+			corrupt(c, "dense ref %d out of range (%d ids)", hi, n)
 		}
-		if v >= uint64(nDense) {
-			r.failf("dense ref %d out of range (%d ids)", v, nDense)
-			break
-		}
-		id := int32(v)
 		// Dense ids are canonical: id k must first appear only after ids
 		// 0..k-1 have, which pins the numbering to first appearance in
 		// attack order — the same numbering the record path derives.
-		if id > nextID {
-			r.failf("dense id %d appears before id %d", id, nextID)
-			break
+		next := int32(0)
+		for _, id := range d.refs {
+			if id > next {
+				corrupt(c, "dense id %d appears before id %d", id, next)
+				break
+			}
+			if id == next {
+				next++
+			}
 		}
-		if id == nextID {
-			nextID++
+		if next != int32(n) {
+			corrupt(c, "dense table has %d ids but only %d are referenced", n, next)
 		}
-		refs[i] = id
 	}
-	if r.err == nil && nextID != int32(nDense) {
-		r.failf("dense table has %d ids but only %d are referenced", nDense, nextID)
+	if hi := bincodec.OptIndexes(c, &d.rec, n); c.Decoding() && hi > uint64(len(cols.bIP)) {
+		corrupt(c, "dense record row %d out of range (%d bots)", hi-1, len(cols.bIP))
 	}
-	rec := make([]int32, nDense)
-	for i := range rec {
-		v := r.uvarint()
-		if r.err != nil {
-			break
-		}
-		if v == 0 {
-			rec[i] = -1
-			continue
-		}
-		if v-1 >= uint64(nb) {
-			r.failf("dense record row %d out of range (%d bots)", v-1, nb)
-			break
-		}
-		rec[i] = int32(v - 1)
-	}
-	if r.err != nil {
-		return
-	}
-	c.dense = &denseBots{ips: ips, refs: refs, rec: rec}
 }

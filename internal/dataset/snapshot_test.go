@@ -5,12 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"net/netip"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"botscope/internal/bincodec"
 )
 
 // snapFixtureStore builds a small workload that exercises the codec's
@@ -320,77 +321,44 @@ func snapshotSeedCorpus(t testing.TB) []snapshotSeed {
 	}
 	validOne := EncodeSnapshot(one)
 
-	// danglingStrID: a v2 frame sequence whose first botnet family id
-	// points past the string table.
-	dangling := func() []byte {
-		buf := []byte(snapMagic)
-		buf = append(buf, snapVersion)
-		buf = append(buf, v2Section(secStrings, func(w *snapWriter) {
-			w.uvarint(1) // one string
-			w.str("")
-		})...)
-		buf = append(buf, v2Section(secTargets, func(w *snapWriter) {
-			w.uvarint(0) // no targets
-		})...)
-		buf = append(buf, v2Section(secBotnets, func(w *snapWriter) {
-			w.uvarint(1) // one botnet
-			w.uvarint(7) // id
-			w.uvarint(5) // family id 5: out of range
-			w.uvarint(0)
-			w.addr(netip.Addr{})
-			w.varint(0)
-			w.varint(0)
-		})...)
-		return buf
-	}()
+	// danglingStrID: the first three sections of a snapshot whose first
+	// botnet family id points past the string table.
+	dangling := appendSections([]byte(snapMagic+"\x02"), &Columns{
+		strs:   []string{""},
+		nID:    []uint32{7},
+		nFam:   []int32{5}, // out of range
+		nHash:  []int32{0},
+		nCtrl:  []netip.Addr{{}},
+		nFirst: []int64{0},
+		nLast:  []int64{0},
+	}, 3)
 
-	// danglingDenseRef: a valid-prefix v2 frame sequence whose dense ref
-	// indexes past the dense table.
-	danglingDense := func() []byte {
-		buf := []byte(snapMagic)
-		buf = append(buf, snapVersion)
-		buf = append(buf, v2Section(secStrings, func(w *snapWriter) {
-			w.uvarint(4)
-			for _, s := range []string{"", "nitol", "US", "X"} {
-				w.str(s)
-			}
-		})...)
-		buf = append(buf, v2Section(secTargets, func(w *snapWriter) {
-			w.uvarint(1)
-			w.addr(netip.MustParseAddr("192.0.2.9"))
-		})...)
-		buf = append(buf, v2Section(secBotnets, func(w *snapWriter) {
-			w.uvarint(0) // no botnets
-		})...)
-		buf = append(buf, v2Section(secBots, func(w *snapWriter) {
-			w.uvarint(0) // no bots
-		})...)
-		buf = append(buf, v2Section(secAttacks, func(w *snapWriter) {
-			w.uvarint(1) // one attack
-			w.uvarint(1) // one ref
-			w.uvarint(1) // id
-			w.uvarint(1) // botnet
-			w.uvarint(1) // family
-			w.buf = append(w.buf, byte(CategoryTCP))
-			w.uvarint(0) // target
-			w.varint(time.Date(2012, 10, 1, 0, 0, 0, 0, time.UTC).UnixNano())
-			w.uvarint(uint64(30 * time.Minute))
-			w.varint(0)  // asn
-			w.uvarint(2) // cc
-			w.uvarint(3) // city
-			w.uvarint(0) // org
-			w.f64(1)
-			w.f64(2)
-			w.uvarint(1) // span length
-		})...)
-		buf = append(buf, v2Section(secDense, func(w *snapWriter) {
-			w.uvarint(1) // one dense id
-			w.addr(netip.MustParseAddr("198.51.100.77"))
-			w.uvarint(9) // ref -> dense id 9: out of range
-			w.uvarint(0) // rec
-		})...)
-		return buf
-	}()
+	// danglingDenseRef: a snapshot whose only dense ref indexes past the
+	// dense table.
+	t0 := time.Date(2012, 10, 1, 0, 0, 0, 0, time.UTC).UnixNano()
+	danglingDense := appendSections([]byte(snapMagic+"\x02"), &Columns{
+		strs:    []string{"", "nitol", "US", "X"},
+		targets: []netip.Addr{netip.MustParseAddr("192.0.2.9")},
+		aID:     []uint64{1},
+		aBotnet: []uint32{1},
+		aFam:    []int32{1},
+		aCat:    []uint8{uint8(CategoryTCP)},
+		aTgt:    []int32{0},
+		aStart:  []int64{t0},
+		aEnd:    []int64{t0 + int64(30*time.Minute)},
+		aASN:    []int64{0},
+		aCC:     []int32{2},
+		aCity:   []int32{3},
+		aOrg:    []int32{0},
+		aLat:    []float64{1},
+		aLon:    []float64{2},
+		aOff:    []int64{0, 1},
+		dense: &denseBots{
+			ips:  []netip.Addr{netip.MustParseAddr("198.51.100.77")},
+			refs: []int32{9}, // out of range
+			rec:  []int32{-1},
+		},
+	}, len(snapSections))
 
 	// crcMismatch: a valid snapshot with one payload byte flipped, so the
 	// strings section checksum no longer matches.
@@ -405,7 +373,7 @@ func snapshotSeedCorpus(t testing.TB) []snapshotSeed {
 		{"valid", valid},
 		{"valid-empty", validEmpty},
 		{"valid-one-attack", validOne},
-		{"valid-v1", encodeSnapshotV1(snapFixtureStore(t))},
+		{"valid-v1", snapshotV1(snapFixtureStore(t))},
 		{"empty-input", []byte{}},
 		{"bad-magic", []byte("BSCXjunkjunk")},
 		{"bad-version", badVersion},
@@ -420,55 +388,23 @@ func snapshotSeedCorpus(t testing.TB) []snapshotSeed {
 	}
 }
 
-// v2Section frames one section payload the way EncodeSnapshot does:
-// id byte, payload length, CRC-32C, payload.
-func v2Section(id byte, build func(w *snapWriter)) []byte {
-	w := &snapWriter{}
-	build(w)
-	hdr := make([]byte, 13)
-	hdr[0] = id
-	binary.BigEndian.PutUint64(hdr[1:9], uint64(len(w.buf)))
-	binary.BigEndian.PutUint32(hdr[9:13], crc32.Checksum(w.buf, castagnoli))
-	return append(hdr, w.buf...)
+// snapshotV1 renders a store in the retired v1 layout: version 1 and the
+// six section payloads back to back, with no frame headers.
+func snapshotV1(s *Store) []byte {
+	cols := s.Cols()
+	s.denseBots()
+	enc := bincodec.NewEncoder([]byte(snapMagic + "\x01"))
+	for _, walk := range snapSections {
+		walk(enc, cols)
+	}
+	return enc.Bytes()
 }
 
-// encodeSnapshotV1 emits the legacy flat layout — the same six section
-// payloads with no frame headers — for backward-compatibility tests.
-func encodeSnapshotV1(s *Store) []byte {
-	c := s.Cols()
-	d := s.denseBots()
-	w := &snapWriter{}
-	w.buf = append(w.buf, snapMagic...)
-	w.uvarint(snapVersionV1)
-	encStrings(w, c)
-	encTargets(w, c)
-	encBotnets(w, c)
-	encBots(w, c)
-	encAttacks(w, c)
-	encDense(w, d)
-	return w.buf
-}
-
-// TestSnapshotV1Compat pins that the legacy v1 flat layout still decodes
-// to the identical store, and that re-encoding it upgrades to the current
-// framed format.
-func TestSnapshotV1Compat(t *testing.T) {
-	s := snapFixtureStore(t)
-	got, err := DecodeSnapshot(encodeSnapshotV1(s))
-	if err != nil {
-		t.Fatalf("decode v1: %v", err)
-	}
-	if got.SnapshotInfo().Version != snapVersionV1 {
-		t.Fatalf("v1 decode reports version %d", got.SnapshotInfo().Version)
-	}
-	if !bytes.Equal(csvBytes(t, s), csvBytes(t, got)) {
-		t.Fatalf("attack records differ after v1 decode")
-	}
-	if got.Summary() != s.Summary() {
-		t.Fatalf("summary differs after v1 decode")
-	}
-	if !bytes.Equal(EncodeSnapshot(got), EncodeSnapshot(s)) {
-		t.Fatalf("re-encode of a v1-loaded store is not byte-identical to the v2 encode")
+// TestSnapshotV1Rejected pins that the retired v1 layout, which readers
+// once accepted, is now refused as an unsupported version.
+func TestSnapshotV1Rejected(t *testing.T) {
+	if _, err := DecodeSnapshot(snapshotV1(snapFixtureStore(t))); !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("v1 snapshot: err = %v, want ErrSnapshotVersion", err)
 	}
 }
 
@@ -487,9 +423,9 @@ func TestSnapshotTruncatedTyped(t *testing.T) {
 	}
 	var frames []frameSpan
 	off := len(snapMagic) + 1
-	for sec := byte(secStrings); sec <= secDense; sec++ {
+	for _, name := range snapSectionName[1:] {
 		plen := int(binary.BigEndian.Uint64(valid[off+1 : off+9]))
-		frames = append(frames, frameSpan{snapSectionName[sec], off, off + 13, plen})
+		frames = append(frames, frameSpan{name, off, off + 13, plen})
 		off += 13 + plen
 	}
 	if off != len(valid) {
@@ -565,6 +501,12 @@ func TestSnapshotChecksumTyped(t *testing.T) {
 	}
 }
 
+// snapshotSeedFile is the on-disk name and go-fuzz corpus body of seed i.
+func snapshotSeedFile(i int, seed snapshotSeed) (name string, body []byte) {
+	return fmt.Sprintf("seed-%02d-%s", i, seed.name),
+		[]byte(fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed.data))
+}
+
 // TestRegenSnapshotCorpus rewrites the committed seed corpus under
 // testdata/fuzz/FuzzDecodeSnapshot. Gated behind BOTSCOPE_REGEN_CORPUS=1
 // so a codec change regenerates the files deliberately, never as a test
@@ -578,17 +520,16 @@ func TestRegenSnapshotCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, seed := range snapshotSeedCorpus(t) {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed.data)
-		name := fmt.Sprintf("seed-%02d-%s", i, seed.name)
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+		name, body := snapshotSeedFile(i, seed)
+		if err := os.WriteFile(filepath.Join(dir, name), body, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// TestSnapshotSeedCorpusCommitted pins that every generated seed exists
-// on disk and decodes (or is rejected) without panicking, so the corpus
-// cannot drift from the generator.
+// TestSnapshotSeedCorpusCommitted pins the committed seed corpus to the
+// generator byte for byte, so the corpus cannot drift from the generator
+// and the BSCS encoding cannot drift from the committed bytes.
 func TestSnapshotSeedCorpusCommitted(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeSnapshot")
 	seeds := snapshotSeedCorpus(t)
@@ -596,10 +537,18 @@ func TestSnapshotSeedCorpusCommitted(t *testing.T) {
 	if err != nil {
 		t.Fatalf("seed corpus missing (run BOTSCOPE_REGEN_CORPUS=1 go test): %v", err)
 	}
-	if len(entries) < len(seeds) {
+	if len(entries) != len(seeds) {
 		t.Fatalf("seed corpus has %d files, generator produces %d", len(entries), len(seeds))
 	}
-	for _, seed := range seeds {
+	for i, seed := range seeds {
+		name, want := snapshotSeedFile(i, seed)
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatalf("seed %s: %v", name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("seed %s differs from the committed file", name)
+		}
 		_, _ = DecodeSnapshot(seed.data)
 	}
 }

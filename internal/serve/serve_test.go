@@ -348,6 +348,41 @@ func TestIngestRejectsBadPayload(t *testing.T) {
 	}
 }
 
+// TestLiveIngestTotalMatchesSnapshot pins that the running total
+// LiveIngest reports equals the live snapshot's Ingested count, both after
+// a clean batch and after a batch rejected mid-way (the records before the
+// bad one stay applied).
+func TestLiveIngestTotalMatchesSnapshot(t *testing.T) {
+	s, attacks := liveServer(t)
+	ctx := context.Background()
+
+	var buf bytes.Buffer
+	if err := dataset.WriteJSONL(&buf, attacks[:20]); err != nil {
+		t.Fatal(err)
+	}
+	n, total, err := s.LiveIngest(ctx, &buf)
+	if err != nil || n != 20 {
+		t.Fatalf("clean batch = (%d, %v), want 20 ingested", n, err)
+	}
+	if want := s.Live().Snapshot().Ingested; total != want || total != 20 {
+		t.Fatalf("clean batch total = %d, snapshot says %d, want 20", total, want)
+	}
+
+	// Five in-order records, then one that starts before them.
+	buf.Reset()
+	batch := append(append([]*dataset.Attack{}, attacks[20:25]...), attacks[0])
+	if err := dataset.WriteJSONL(&buf, batch); err != nil {
+		t.Fatal(err)
+	}
+	n, total, err = s.LiveIngest(ctx, &buf)
+	if err == nil || n != 5 {
+		t.Fatalf("rejected batch = (%d, %v), want 5 ingested and an error", n, err)
+	}
+	if want := s.Live().Snapshot().Ingested; total != want || total != 25 {
+		t.Fatalf("rejected batch total = %d, snapshot says %d, want 25", total, want)
+	}
+}
+
 func TestListenAndServeContextShutdown(t *testing.T) {
 	s, _ := liveServer(t)
 	ctx, cancel := context.WithCancel(context.Background())
