@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build build-cross test vet botvet botvet-json botvet-sarif botvet-timed race verify verify-race bench bench-smoke bench-allocs bench-update bench-record bench-stream bench-trajectory load-smoke load-record snapshot-smoke report fmt fmt-check fuzz
+.PHONY: build build-cross test vet botvet botvet-json botvet-sarif botvet-timed race verify verify-race bench bench-smoke bench-allocs bench-update bench-record bench-stream bench-trajectory load-smoke load-record snapshot-smoke perfbench-test report fmt fmt-check fuzz
 
 build:
 	$(GO) build ./...
@@ -195,6 +195,13 @@ snapshot-smoke:
 	cmp snapshot_smoke_nommap.txt snapshot_smoke_generated.txt
 	@rm -f snapshot_smoke_loaded.txt snapshot_smoke_nommap.txt snapshot_smoke_generated.txt snapshot_smoke_mmap.log snapshot_smoke_nommap.log
 	@echo "snapshot-smoke: mmap and fallback reloads are byte-identical"
+
+# perfbench-test runs the benchmark module's own tests (a separate Go
+# module under perfbench/). TestReferenceDigest among them pins the
+# benchmark's pinned report byte for byte, so any change to an analysis
+# that moves a rendered table or figure fails here.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 report:
 	$(GO) run ./cmd/botreport -scale 0.2

@@ -142,16 +142,10 @@ func (ix *DispersionIndex) PredictAll(cfg PredictConfig, workers int) []*Predict
 	return out
 }
 
-// Transfer is TransferPredict served from the index.
-func (ix *DispersionIndex) Transfer(source, target dataset.Family, order timeseries.Order, minSeries int) (*TransferResult, error) {
-	src := DispersionValues(ix.Series(source))
-	tgt := DispersionValues(ix.Series(target))
-	return transferFromSeries(source, target, src, tgt, order, minSeries)
-}
-
-// TransferMatrix is the package-level TransferMatrix served from the
-// index, with the ordered pairs sharded across workers (0 = all cores).
-// Pairs are independent fits; results are kept in canonical pair order.
+// TransferMatrix scores TransferPredict for every ordered pair of the
+// given families and returns the successful results in canonical pair
+// order, skipping pairs whose series are too short or whose fits fail.
+// Work is sharded across all cores.
 func (ix *DispersionIndex) TransferMatrix(families []dataset.Family, order timeseries.Order, minSeries int) []*TransferResult {
 	return ix.TransferMatrixWorkers(families, order, minSeries, 0)
 }

@@ -86,7 +86,7 @@ func TestDispersionIndexDerived(t *testing.T) {
 
 	if len(wantFams) >= 2 {
 		order := timeseries.Order{P: 1}
-		wantTM := TransferMatrix(s, wantFams[:2], order, 10)
+		wantTM := naiveTransferMatrix(s, wantFams[:2], order, 10)
 		gotTM := ix.TransferMatrixWorkers(wantFams[:2], order, 10, 4)
 		if len(wantTM) != len(gotTM) {
 			t.Fatalf("TransferMatrix: %d results vs %d", len(gotTM), len(wantTM))

@@ -39,10 +39,6 @@ func TransferPredict(s *dataset.Store, source, target dataset.Family, order time
 	ix := IndexFor(s)
 	src := DispersionValues(ix.Series(source))
 	tgt := DispersionValues(ix.Series(target))
-	return transferFromSeries(source, target, src, tgt, order, minSeries)
-}
-
-func transferFromSeries(source, target dataset.Family, src, tgt []float64, order timeseries.Order, minSeries int) (*TransferResult, error) {
 	if minSeries <= 0 {
 		minSeries = 60
 	}
@@ -65,8 +61,8 @@ func transferFromSeries(source, target dataset.Family, src, tgt []float64, order
 
 // nativeFit fits the target's own model on its training half and scores
 // its one-step forecasts on the evaluation half. Both outputs depend only
-// on the target, so TransferMatrix computes them once per family and
-// reuses them for every source.
+// on the target, so DispersionIndex.TransferMatrixWorkers computes them
+// once per family and reuses them for every source.
 func nativeFit(target dataset.Family, tgt []float64, order timeseries.Order) (muTrain, nativeSim float64, err error) {
 	split := len(tgt) / 2
 	muTrain = stats.Mean(tgt[:split])
@@ -128,24 +124,4 @@ func clampNonNegative(xs []float64) {
 			xs[i] = 0
 		}
 	}
-}
-
-// TransferMatrix evaluates every ordered pair of the given families and
-// returns the successful results. Pairs whose series are too short or
-// whose fits fail are skipped.
-func TransferMatrix(s *dataset.Store, families []dataset.Family, order timeseries.Order, minSeries int) []*TransferResult {
-	var out []*TransferResult
-	for _, src := range families {
-		for _, tgt := range families {
-			if src == tgt {
-				continue
-			}
-			res, err := TransferPredict(s, src, tgt, order, minSeries)
-			if err != nil {
-				continue
-			}
-			out = append(out, res)
-		}
-	}
-	return out
 }

@@ -42,7 +42,7 @@ func TestTransferPredictAcrossFamilies(t *testing.T) {
 func TestTransferMatrix(t *testing.T) {
 	s := synthWorkload(t)
 	fams := []dataset.Family{dataset.Dirtjumper, dataset.Pandora, dataset.Blackenergy}
-	results := TransferMatrix(s, fams, timeseries.Order{P: 1}, 60)
+	results := NewDispersionIndex(s).TransferMatrix(fams, timeseries.Order{P: 1}, 60)
 	if len(results) == 0 {
 		t.Fatal("no transfer results")
 	}
@@ -60,4 +60,24 @@ func TestTransferMatrix(t *testing.T) {
 		}
 		seen[key] = true
 	}
+}
+
+// naiveTransferMatrix is the reference for DispersionIndex.TransferMatrix:
+// it runs TransferPredict on every ordered pair, refitting both models
+// each time (2·n(n-1) fits where the index needs 2n).
+func naiveTransferMatrix(s *dataset.Store, families []dataset.Family, order timeseries.Order, minSeries int) []*TransferResult {
+	var out []*TransferResult
+	for _, src := range families {
+		for _, tgt := range families {
+			if src == tgt {
+				continue
+			}
+			res, err := TransferPredict(s, src, tgt, order, minSeries)
+			if err != nil {
+				continue
+			}
+			out = append(out, res)
+		}
+	}
+	return out
 }

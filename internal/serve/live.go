@@ -89,11 +89,7 @@ type LiveServer struct {
 	mux   *http.ServeMux
 	h     http.Handler
 
-	statsMu        sync.Mutex
-	ingestRequests int       // guarded by statsMu
-	ingestRecords  int       // guarded by statsMu
-	ingestRejected int       // guarded by statsMu
-	lastIngest     time.Time // guarded by statsMu
+	ingest *ingestEdge
 }
 
 // LiveOption configures a LiveServer.
@@ -112,7 +108,7 @@ func WithRateLimiter(l RateLimiter) LiveOption {
 
 // NewLiveServer builds the live-plane HTTP server over src.
 func NewLiveServer(src LiveSource, opts ...LiveOption) *LiveServer {
-	s := &LiveServer{src: src, mux: http.NewServeMux()}
+	s := &LiveServer{src: src, mux: http.NewServeMux(), ingest: &ingestEdge{src: src}}
 	for _, o := range opts {
 		o(s)
 	}
@@ -131,14 +127,14 @@ func (s *LiveServer) ListenAndServeContext(ctx context.Context, addr string) err
 }
 
 func (s *LiveServer) routes() {
-	s.mux.HandleFunc("POST /api/ingest", s.handleIngest)
+	s.mux.HandleFunc("POST /api/ingest", s.ingest.handleIngest)
 	s.mux.HandleFunc("GET /api/live/summary", s.handleLive(writeLiveSummary))
 	s.mux.HandleFunc("GET /api/live/daily", s.handleLiveGuarded(writeLiveDaily))
 	s.mux.HandleFunc("GET /api/live/intervals", s.handleLiveGuarded(writeLiveIntervals))
 	s.mux.HandleFunc("GET /api/live/durations", s.handleLiveGuarded(writeLiveDurations))
 	s.mux.HandleFunc("GET /api/live/load", s.handleLiveGuarded(writeLiveLoad))
 	s.mux.HandleFunc("GET /api/live/collaborations", s.handleLiveGuarded(writeLiveCollaborations))
-	s.mux.HandleFunc("GET /api/live/ingeststats", s.handleIngestStats)
+	s.mux.HandleFunc("GET /api/live/ingeststats", s.ingest.handleStats)
 	s.mux.HandleFunc("GET /healthz", handleHealthz)
 	if s.admin != nil {
 		s.mux.HandleFunc("GET /api/cluster/status", s.handleClusterStatus)
@@ -215,34 +211,6 @@ func (s *LiveServer) handleLiveGuarded(write func(http.ResponseWriter, stream.Sn
 	}
 }
 
-func (s *LiveServer) handleIngest(w http.ResponseWriter, r *http.Request) {
-	ingested, total, err := s.src.LiveIngest(r.Context(), r.Body)
-	s.recordIngest(ingested, err != nil)
-	if err != nil {
-		writeIngestError(w, err, ingested, total)
-		return
-	}
-	writeJSON(w, map[string]any{"ingested": ingested, "total": total})
-}
-
-func (s *LiveServer) recordIngest(records int, rejected bool) {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	s.ingestRequests++
-	s.ingestRecords += records
-	if rejected {
-		s.ingestRejected++
-	}
-	s.lastIngest = time.Now()
-}
-
-func (s *LiveServer) handleIngestStats(w http.ResponseWriter, _ *http.Request) {
-	s.statsMu.Lock()
-	requests, records, rejected, last := s.ingestRequests, s.ingestRecords, s.ingestRejected, s.lastIngest
-	s.statsMu.Unlock()
-	writeIngestStats(w, requests, records, rejected, last)
-}
-
 func (s *LiveServer) handleClusterStatus(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, s.admin.ClusterStatus())
 }
@@ -286,15 +254,79 @@ func writeSourceError(w http.ResponseWriter, err error, fallback int) {
 	writeError(w, status, err)
 }
 
+// maxIngestBytes caps one POST /api/ingest body at the 64 MiB BSCW frame
+// payload limit, so no client can hold the ingest writer on an endless
+// body.
+const maxIngestBytes = 64 << 20
+
+// ingestEdge is the POST /api/ingest route both server shapes mount, plus
+// the telemetry GET /api/live/ingeststats reports on how the feed is
+// driven, independent of the event-time analytics src owns.
+type ingestEdge struct {
+	src LiveSource
+
+	mu       sync.Mutex
+	requests int       // guarded by mu
+	records  int       // guarded by mu
+	rejected int       // guarded by mu
+	last     time.Time // guarded by mu
+}
+
+// handleIngest streams the JSONL body, bounded at maxIngestBytes, into
+// src without materializing it. The response reports how many records
+// this request ingested and the source's running total; on failure the
+// records before it stay applied (see writeIngestError for the status).
+func (e *ingestEdge) handleIngest(w http.ResponseWriter, r *http.Request) {
+	body := http.MaxBytesReader(w, r.Body, maxIngestBytes)
+	ingested, total, err := e.src.LiveIngest(r.Context(), body)
+	e.mu.Lock()
+	e.requests++
+	e.records += ingested
+	if err != nil {
+		e.rejected++
+	}
+	e.last = time.Now()
+	e.mu.Unlock()
+	if err != nil {
+		writeIngestError(w, err, ingested, total)
+		return
+	}
+	writeJSON(w, map[string]any{"ingested": ingested, "total": total})
+}
+
+// handleStats reports requests served, records accepted, rejected
+// requests, and the wall-clock time of the last ingest call (omitted until
+// the first one).
+func (e *ingestEdge) handleStats(w http.ResponseWriter, _ *http.Request) {
+	out := struct {
+		Requests   int    `json:"requests"`
+		Records    int    `json:"records"`
+		Rejected   int    `json:"rejected"`
+		LastIngest string `json:"last_ingest,omitempty"`
+	}{}
+	e.mu.Lock()
+	out.Requests, out.Records, out.Rejected = e.requests, e.records, e.rejected
+	last := e.last
+	e.mu.Unlock()
+	if !last.IsZero() {
+		out.LastIngest = last.UTC().Format(time.RFC3339)
+	}
+	writeJSON(w, out)
+}
+
 // writeIngestError emits the ingest failure shape shared by every
 // deployment: the error plus how much of the batch was applied. Errors
-// carrying their own HTTP status (backpressure → 503) keep it; malformed
-// or out-of-order input reports 422.
+// carrying their own HTTP status (backpressure → 503) keep it, a body over
+// maxIngestBytes (*http.MaxBytesError) reports 413, and malformed or
+// out-of-order input reports 422.
 func writeIngestError(w http.ResponseWriter, err error, ingested, total int) {
 	status := http.StatusUnprocessableEntity
 	var sc interface{ HTTPStatus() int }
+	var tooLarge *http.MaxBytesError
 	if errors.As(err, &sc) {
 		status = sc.HTTPStatus()
+	} else if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
 	}
 	var ra interface{ RetryAfter() int }
 	if errors.As(err, &ra) && ra.RetryAfter() > 0 {
@@ -313,21 +345,6 @@ func writeIngestError(w http.ResponseWriter, err error, ingested, total int) {
 func handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write([]byte("ok"))
-}
-
-// writeIngestStats renders the feed-driving telemetry shared by both
-// server shapes.
-func writeIngestStats(w http.ResponseWriter, requests, records, rejected int, last time.Time) {
-	out := struct {
-		Requests   int    `json:"requests"`
-		Records    int    `json:"records"`
-		Rejected   int    `json:"rejected"`
-		LastIngest string `json:"last_ingest,omitempty"`
-	}{Requests: requests, Records: records, Rejected: rejected}
-	if !last.IsZero() {
-		out.LastIngest = last.UTC().Format(time.RFC3339)
-	}
-	writeJSON(w, out)
 }
 
 // The writeLive* functions format one snapshot for one route. Both the

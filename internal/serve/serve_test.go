@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -380,6 +381,51 @@ func TestLiveIngestTotalMatchesSnapshot(t *testing.T) {
 	}
 	if want := s.Live().Snapshot().Ingested; total != want || total != 25 {
 		t.Fatalf("rejected batch total = %d, snapshot says %d, want 25", total, want)
+	}
+}
+
+// oversizedIngestBody is a JSONL body just over maxIngestBytes: in-order
+// records, each followed by 1 MiB of whitespace, so the decoder applies
+// records until the cap while holding no more than one gap in memory.
+func oversizedIngestBody(t *testing.T, attacks []*dataset.Attack) io.Reader {
+	t.Helper()
+	gap := bytes.Repeat([]byte{' '}, 1<<20)
+	var parts []io.Reader
+	for i := 0; i <= maxIngestBytes>>20; i++ {
+		var line bytes.Buffer
+		if err := dataset.WriteJSONL(&line, attacks[i:i+1]); err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, &line, bytes.NewReader(gap))
+	}
+	return io.MultiReader(parts...)
+}
+
+// TestIngestBodyCapped drives both server shapes with a body over the
+// cap: each answers 413 and still reports the records applied before it.
+func TestIngestBodyCapped(t *testing.T) {
+	single, attacks := liveServer(t)
+	fronted, _ := liveServer(t)
+	for name, h := range map[string]http.Handler{"Server": single, "LiveServer": NewLiveServer(fronted)} {
+		t.Run(name, func(t *testing.T) {
+			req := httptest.NewRequest(http.MethodPost, "/api/ingest", oversizedIngestBody(t, attacks))
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			var resp struct {
+				Error    string `json:"error"`
+				Ingested int    `json:"ingested"`
+				Total    int    `json:"total"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("invalid JSON %q: %v", rec.Body.String(), err)
+			}
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Errorf("status = %d, want 413 (%+v)", rec.Code, resp)
+			}
+			if resp.Error == "" || resp.Ingested == 0 || resp.Total != resp.Ingested {
+				t.Errorf("response = %+v, want an error and the applied count", resp)
+			}
+		})
 	}
 }
 

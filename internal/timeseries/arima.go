@@ -53,8 +53,9 @@ type Model struct {
 
 // fitScratch is the working memory of one fit (or one AutoFit grid): the
 // CSS residual buffer reused by every objective evaluation. Nelder-Mead
-// calls the objective thousands of times per fit, so allocating the
-// residual slice inside cssObjective used to dominate the fit's profile.
+// calls the objective a few hundred times per fit, each a pass over the
+// whole series, so allocating the residual slice inside cssObjective used
+// to dominate the fit's profile.
 type fitScratch struct {
 	resid []float64
 }

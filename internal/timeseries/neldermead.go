@@ -6,7 +6,9 @@ import (
 )
 
 // Objective is a function to minimize. It may return +Inf to mark an
-// infeasible point.
+// infeasible point. It must be pure: the same x, bit for bit, always
+// yields the same value. NelderMead relies on this to skip re-evaluating
+// vertices a shrink leaves in place and to stop at a fixed point.
 type Objective func(x []float64) float64
 
 // NelderMeadConfig tunes the downhill-simplex optimizer.
@@ -24,6 +26,12 @@ type NelderMeadConfig struct {
 // the best point found and its objective value. The ARIMA fitter uses it
 // because CSS is non-differentiable at stability boundaries, where
 // gradient methods misbehave.
+//
+// It stops at the first of: the objective spread falls below Tol while
+// the simplex diameter falls below 1e-8; MaxIter iterations; or a shrink
+// that moves no vertex by a single bit. The last is exact, not a
+// tolerance: with a pure objective the simplex is then at a fixed point
+// and running on to MaxIter would return the same point and value.
 func NelderMead(f Objective, x0 []float64, cfg NelderMeadConfig) ([]float64, float64, error) {
 	n := len(x0)
 	if n == 0 {
@@ -85,6 +93,7 @@ func NelderMead(f Objective, x0 []float64, cfg NelderMeadConfig) ([]float64, flo
 		}
 	}
 
+iterate:
 	for iter := 0; iter < cfg.MaxIter; iter++ {
 		sortSimplex()
 		best, worst := simplex[0], simplex[n]
@@ -146,12 +155,26 @@ func NelderMead(f Objective, x0 []float64, cfg NelderMeadConfig) ([]float64, flo
 				copy(simplex[n].x, contracted)
 				simplex[n].f = fc
 			} else {
-				// Shrink everything toward the best vertex.
+				// Shrink everything toward the best vertex. A vertex the
+				// shrink rounds back onto itself keeps its value; if none
+				// moves, the simplex is at a fixed point (see above).
+				moved := false
 				for i := 1; i <= n; i++ {
+					vertexMoved := false
 					for j := 0; j < n; j++ {
-						simplex[i].x[j] = best.x[j] + sigma*(simplex[i].x[j]-best.x[j])
+						x := best.x[j] + sigma*(simplex[i].x[j]-best.x[j])
+						if math.Float64bits(x) != math.Float64bits(simplex[i].x[j]) {
+							simplex[i].x[j] = x
+							vertexMoved = true
+						}
 					}
-					simplex[i].f = f(simplex[i].x)
+					if vertexMoved {
+						simplex[i].f = f(simplex[i].x)
+						moved = true
+					}
+				}
+				if !moved {
+					break iterate
 				}
 			}
 		}

@@ -6,9 +6,9 @@ import (
 
 // TestCSSObjectiveZeroAlloc pins the tentpole property of the fitter: one
 // objective evaluation with a caller-owned residual buffer allocates
-// nothing. Nelder-Mead calls the objective thousands of times per fit and
-// the transfer matrix runs 2n fits, so a single allocation here multiplies
-// into millions.
+// nothing. Nelder-Mead calls the objective hundreds of times per fit and
+// a report runs dozens of fits, so a single allocation here multiplies
+// into thousands.
 func TestCSSObjectiveZeroAlloc(t *testing.T) {
 	xs := genARMA([]float64{0.6}, []float64{0.3}, 5, 2000, 21)
 	params := []float64{5, 0.6, 0.3}
